@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mx_bench::bench_threads;
 use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
-use mx_core::gemm::{quantized_gemm, quantized_gemm_prepacked, PackedOperand};
+use mx_core::gemm::{quantized_gemm, quantized_gemm_prepacked_scratch, PackScratch, PackedOperand};
 use mx_nn::format::{quantize_along, Axis, TensorFormat};
 use mx_nn::tensor::Tensor;
 use std::hint::black_box;
@@ -53,7 +53,10 @@ fn quantized_gemm_512(c: &mut Criterion) {
     });
     group.bench_function("code_domain_prepacked", |bench| {
         let pb = PackedOperand::pack_cols(&b, N, N, fmt, fmt).unwrap();
-        bench.iter(|| black_box(quantized_gemm_prepacked(&a, N, fmt, &pb, 1).unwrap()))
+        let mut scratch = PackScratch::new();
+        bench.iter(|| {
+            black_box(quantized_gemm_prepacked_scratch(&a, N, fmt, &pb, 1, &mut scratch).unwrap())
+        })
     });
     group.finish();
 }

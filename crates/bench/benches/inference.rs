@@ -6,12 +6,11 @@
 //! - `per_call_packing` — the PR 2 behavior: every call re-lowers the
 //!   static weight matrix to shift-aligned codes (`quantized_gemm`);
 //! - `prepacked_weights` — the weight plane is packed once and only the
-//!   activations are lowered per call (`quantized_gemm_prepacked`) — the
-//!   steady state `mx-nn`'s generation-keyed weight cache reaches after
-//!   the first forward pass;
-//! - `prepacked_scratch` — additionally reuses a caller-provided
-//!   `PackScratch` for the activation plane
-//!   (`quantized_gemm_prepacked_scratch`), eliminating the last per-call
+//!   activations are lowered per call (`quantized_gemm_prepacked_scratch`
+//!   with a fresh `PackScratch` each call) — the steady state `mx-nn`'s
+//!   generation-keyed weight cache reaches after the first forward pass;
+//! - `prepacked_scratch` — additionally reuses one `PackScratch` for the
+//!   activation strips across calls, eliminating the last per-call
 //!   allocation — the steady state `mx-nn` reaches through its
 //!   thread-local scratch;
 //! - `weight_pack_only` — the packing cost itself, i.e. what each
@@ -21,11 +20,9 @@
 //!
 //! The `inference_small_m_*` groups sweep the serving-shaped row counts
 //! M ∈ {1, 4, 8, 32} against the same warm weight plane, comparing the
-//! **fused** pack-on-the-fly path (`quantized_gemm_fused` — what the
-//! automatic dispatch picks at these shapes), the **two-pass**
-//! prepacked-scratch path (`quantized_gemm_twopass_scratch` — the pre-fuse
-//! behavior), and the unquantized FP32 `fgemm` kernel as the floor the
-//! fused path is closing on.
+//! **fused** pack-on-the-fly path (`quantized_gemm_prepacked_scratch`)
+//! with the unquantized FP32 `fgemm` kernel as the floor the fused path is
+//! closing on.
 //!
 //! All cases run serial (`threads = 1`; override with `MX_BENCH_THREADS`):
 //! the interesting quantity is the per-call activation-lowering work, not
@@ -35,10 +32,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mx_bench::bench_threads;
 use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
-use mx_core::gemm::{
-    quantized_gemm, quantized_gemm_fused, quantized_gemm_prepacked,
-    quantized_gemm_prepacked_scratch, quantized_gemm_twopass_scratch, PackScratch, PackedOperand,
-};
+use mx_core::gemm::{quantized_gemm, quantized_gemm_prepacked_scratch, PackScratch, PackedOperand};
 use mx_nn::format::TensorFormat;
 use mx_nn::layers::{Layer, Linear};
 use mx_nn::qflow::QuantConfig;
@@ -78,7 +72,12 @@ fn inference_steady_state(c: &mut Criterion) {
     });
     group.bench_function("prepacked_weights", |bench| {
         let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-        bench.iter(|| black_box(quantized_gemm_prepacked(&a, M, fmt, &pw, threads).unwrap()))
+        bench.iter(|| {
+            black_box(
+                quantized_gemm_prepacked_scratch(&a, M, fmt, &pw, threads, &mut PackScratch::new())
+                    .unwrap(),
+            )
+        })
     });
     group.bench_function("prepacked_scratch", |bench| {
         let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
@@ -108,9 +107,8 @@ fn inference_steady_state(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serving-shaped row counts: fused pack-on-the-fly vs the two-pass
-/// prepacked-scratch path vs the FP32 `fgemm` floor, one group per M so
-/// each reports its own throughput.
+/// Serving-shaped row counts: fused pack-on-the-fly vs the FP32 `fgemm`
+/// floor, one group per M so each reports its own throughput.
 fn inference_small_m(c: &mut Criterion) {
     let fmt = BdrFormat::MX6;
     let threads = bench_threads(1);
@@ -124,14 +122,9 @@ fn inference_small_m(c: &mut Criterion) {
         group.bench_function("fused", |bench| {
             let mut scratch = PackScratch::new();
             bench.iter(|| {
-                black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
-            })
-        });
-        group.bench_function("twopass_scratch", |bench| {
-            let mut scratch = PackScratch::new();
-            bench.iter(|| {
                 black_box(
-                    quantized_gemm_twopass_scratch(&a, m, fmt, &pw, threads, &mut scratch).unwrap(),
+                    quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                        .unwrap(),
                 )
             })
         });

@@ -2,10 +2,10 @@
 //! dispatch layer and the generation-2/3 SIMD kernels: one group per
 //! serving-relevant M ∈ {1, 4, 8, 16, 32}, sweeping
 //!
-//! - `scalar` / `sse2` / `avx2` / `avx512` — each backend forced via
+//! - `scalar` / `avx2` / `avx512` — each backend forced via
 //!   `force_kernel_backend` (the B plane is packed *after* forcing, so
 //!   each variant also measures its own plane layout — vector-major for
-//!   scalar/SSE2, 8-column panel-major for AVX2, 4-column chunk-paired
+//!   scalar, 8-column panel-major for AVX2, 4-column chunk-paired
 //!   panel-major for AVX-512);
 //! - `avx512_bw` — the AVX-512 kernel with VNNI forced off
 //!   (`force_vnni`), isolating the `vpdpwssd` win over the
@@ -30,7 +30,7 @@ use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
 use mx_core::gemm::{
     force_deferred_scale_out, force_kernel_backend, force_vnni, kernel_backend_name,
-    quantized_gemm_fused, KernelBackend, PackScratch, PackedOperand,
+    quantized_gemm_prepacked_scratch, KernelBackend, PackScratch, PackedOperand,
 };
 use std::hint::black_box;
 
@@ -61,7 +61,6 @@ fn kernel_sweep(c: &mut Criterion) {
         group.throughput(Throughput::Elements((m * N * K) as u64));
         for backend in [
             KernelBackend::Scalar,
-            KernelBackend::Sse2,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
         ] {
@@ -77,7 +76,10 @@ fn kernel_sweep(c: &mut Criterion) {
                 let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
                 let mut scratch = PackScratch::new();
                 bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
+                    black_box(
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                            .unwrap(),
+                    )
                 });
                 force_kernel_backend(None).unwrap();
             });
@@ -92,7 +94,10 @@ fn kernel_sweep(c: &mut Criterion) {
                 let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
                 let mut scratch = PackScratch::new();
                 bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
+                    black_box(
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                            .unwrap(),
+                    )
                 });
                 force_vnni(None);
                 force_kernel_backend(None).unwrap();
@@ -103,7 +108,10 @@ fn kernel_sweep(c: &mut Criterion) {
                 let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
                 let mut scratch = PackScratch::new();
                 bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
+                    black_box(
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                            .unwrap(),
+                    )
                 });
                 force_deferred_scale_out(None);
                 force_kernel_backend(None).unwrap();
@@ -116,7 +124,10 @@ fn kernel_sweep(c: &mut Criterion) {
                 let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
                 let mut scratch = PackScratch::new();
                 bench.iter(|| {
-                    black_box(quantized_gemm_fused(&a, m, fmt, &pw, threads, &mut scratch).unwrap())
+                    black_box(
+                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
+                            .unwrap(),
+                    )
                 });
                 force_deferred_scale_out(None);
                 force_kernel_backend(None).unwrap();

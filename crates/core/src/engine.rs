@@ -496,8 +496,9 @@ fn round_half_even_fast(v: f64) -> f64 {
 ///   [`round_half_even_fast`] bias trick.
 ///
 /// All three substitutions are value-preserving, so every code is
-/// bit-identical to the two-pass pack (the `gemm_fused` consistency suite
-/// asserts it across all preset pairs and stress data).
+/// bit-identical to the strided prepack (`lower_block_strided_into`) and
+/// every fused GEMM to the dequantize reference (the `gemm_fused`
+/// consistency suite asserts it across all preset pairs and stress data).
 pub(crate) fn lower_block_into<C: AlignedCode>(
     fmt: &BdrFormat,
     block: &[f32],

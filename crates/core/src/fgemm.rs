@@ -16,11 +16,10 @@
 //!   in vector registers across the whole K panel and each loaded B
 //!   vector is reused `MR` times, instead of one load-add-store round
 //!   trip per element;
-//! - the column loop runs 16 lanes at a time under AVX2 (8 under the SSE2
-//!   x86-64 baseline, plain autovectorizable loops elsewhere), using
-//!   separate multiply and add instructions — **never FMA**, which would
-//!   skip the per-product rounding and break bit-identity with the scalar
-//!   loop;
+//! - the column loop runs 16 lanes at a time under AVX2 (a plain
+//!   autovectorizable axpy everywhere else), using separate multiply and
+//!   add instructions — **never FMA**, which would skip the per-product
+//!   rounding and break bit-identity with the scalar loop;
 //! - the zero-skip policy is resolved once per tile (scan the tile's A
 //!   panel for zeros; only if one exists, resolve the memoized "is B all
 //!   finite" scan) and the kernels are monomorphized over it, so the hot
@@ -68,6 +67,42 @@ const MR: usize = 4;
 /// assert_eq!(matmul(&a, &b, 2, 3, 2, 1), vec![58.0, 64.0, 139.0, 154.0]);
 /// ```
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize) -> Vec<f32> {
+    matmul_on(Tier::detect(), a, b, m, k, n, threads)
+}
+
+/// The register-tile implementation [`matmul`] runs. Both tiers are
+/// bit-identical; the choice is made once per call from the CPU, and the
+/// tests pass it explicitly to cover the portable tile on AVX2 hosts.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    /// The AVX2 16-column register tile (x86-64 with AVX2 only).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The portable autovectorizable tile, everywhere else.
+    Portable,
+}
+
+impl Tier {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
+        Tier::Portable
+    }
+}
+
+/// [`matmul`] on an explicit [`Tier`]. `Tier::Avx2` must only be passed
+/// when the CPU supports AVX2 (what [`Tier::detect`] establishes).
+fn matmul_on(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "A is not {m}x{k}");
     assert_eq!(b.len(), k * n, "B is not {k}x{n}");
     let mut out = vec![0.0f32; m * n];
@@ -78,8 +113,6 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
     // computes the scan, everyone else reuses the answer.
     let rhs_finite_memo: OnceLock<bool> = OnceLock::new();
     let rhs_finite = &|| *rhs_finite_memo.get_or_init(|| b.iter().all(|v| v.is_finite()));
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
     let workers = gemm_workers(m, n, k, threads);
     dispatch_rows(m, n, workers, &mut out, |r0, rows, part| {
         for pc in (0..k).step_by(KC) {
@@ -99,67 +132,27 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, threads: usize
                 // exactly like the seed's `v == 0.0` test.)
                 let has_zero = (0..mr).any(|r| a[abase + r * k + pc..][..kc].contains(&0.0));
                 let skip = has_zero && rhs_finite();
-                #[cfg(target_arch = "x86_64")]
-                {
+                match tier {
+                    #[cfg(target_arch = "x86_64")]
                     // SAFETY: slice bounds were just established (`tile` is
                     // `mr × n`, A rows `abase .. abase + mr·k` exist, B rows
-                    // `pc .. pc + kc` exist), and the AVX2 variant only runs
-                    // after `is_x86_feature_detected!` confirmed support.
-                    unsafe {
-                        match (use_avx2, mr, skip) {
-                            (true, 4, true) => {
-                                tile_avx2::<4, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 4, false) => {
-                                tile_avx2::<4, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 3, true) => {
-                                tile_avx2::<3, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 3, false) => {
-                                tile_avx2::<3, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 2, true) => {
-                                tile_avx2::<2, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, 2, false) => {
-                                tile_avx2::<2, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, _, true) => {
-                                tile_avx2::<1, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (true, _, false) => {
-                                tile_avx2::<1, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 4, true) => {
-                                tile_sse2::<4, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 4, false) => {
-                                tile_sse2::<4, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 3, true) => {
-                                tile_sse2::<3, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 3, false) => {
-                                tile_sse2::<3, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 2, true) => {
-                                tile_sse2::<2, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, 2, false) => {
-                                tile_sse2::<2, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, _, true) => {
-                                tile_sse2::<1, true>(a, b, abase, k, n, pc, kc, tile)
-                            }
-                            (false, _, false) => {
-                                tile_sse2::<1, false>(a, b, abase, k, n, pc, kc, tile)
-                            }
+                    // `pc .. pc + kc` exist), and `Tier::Avx2` is only
+                    // passed after `is_x86_feature_detected!` confirmed
+                    // support.
+                    Tier::Avx2 => unsafe {
+                        match (mr, skip) {
+                            (4, true) => tile_avx2::<4, true>(a, b, abase, k, n, pc, kc, tile),
+                            (4, false) => tile_avx2::<4, false>(a, b, abase, k, n, pc, kc, tile),
+                            (3, true) => tile_avx2::<3, true>(a, b, abase, k, n, pc, kc, tile),
+                            (3, false) => tile_avx2::<3, false>(a, b, abase, k, n, pc, kc, tile),
+                            (2, true) => tile_avx2::<2, true>(a, b, abase, k, n, pc, kc, tile),
+                            (2, false) => tile_avx2::<2, false>(a, b, abase, k, n, pc, kc, tile),
+                            (_, true) => tile_avx2::<1, true>(a, b, abase, k, n, pc, kc, tile),
+                            (_, false) => tile_avx2::<1, false>(a, b, abase, k, n, pc, kc, tile),
                         }
-                    }
+                    },
+                    Tier::Portable => tile_portable(a, b, abase, mr, k, n, pc, kc, tile, skip),
                 }
-                #[cfg(not(target_arch = "x86_64"))]
-                tile_portable(a, b, abase, mr, k, n, pc, kc, tile, skip);
             }
         }
     });
@@ -312,91 +305,8 @@ unsafe fn tile_avx2<const R: usize, const SKIP: bool>(
     tail_cols::<R, SKIP>(a, b, abase, k, n, pc, kc, j, out);
 }
 
-/// SSE2 register tile (`R` rows × 8 columns per step, 4-lane remainder) —
-/// the x86-64 baseline, used when AVX2 is not available.
-///
-/// # Safety
-///
-/// `out` must be `R × n`, A must hold rows `abase .. abase + R·k`, and B
-/// rows `pc .. pc + kc`. (SSE2 itself is part of the x86-64 baseline ABI.)
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
-unsafe fn tile_sse2<const R: usize, const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    abase: usize,
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    let mut j = 0;
-    while j + 8 <= n {
-        // SAFETY: `j + 8 ≤ n` keeps every 4-lane load/store at
-        // `r·n + j (+4)` inside `out` (`R × n`) and every B load at
-        // `p·n + j (+4)` inside rows `pc .. pc + kc` of B (`k × n`);
-        // `a.get_unchecked(abase + r·k + p)` is in bounds because A holds
-        // rows `abase .. abase + R·k`. SSE2 is x86-64 baseline, so the
-        // intrinsics themselves are always available.
-        unsafe {
-            let mut acc0 = [_mm_setzero_ps(); R];
-            let mut acc1 = [_mm_setzero_ps(); R];
-            for r in 0..R {
-                acc0[r] = _mm_loadu_ps(out.as_ptr().add(r * n + j));
-                acc1[r] = _mm_loadu_ps(out.as_ptr().add(r * n + j + 4));
-            }
-            for p in pc..pc + kc {
-                let vb0 = _mm_loadu_ps(b.as_ptr().add(p * n + j));
-                let vb1 = _mm_loadu_ps(b.as_ptr().add(p * n + j + 4));
-                for r in 0..R {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    let va = _mm_set1_ps(av);
-                    acc0[r] = _mm_add_ps(acc0[r], _mm_mul_ps(va, vb0));
-                    acc1[r] = _mm_add_ps(acc1[r], _mm_mul_ps(va, vb1));
-                }
-            }
-            for r in 0..R {
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j), acc0[r]);
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j + 4), acc1[r]);
-            }
-        }
-        j += 8;
-    }
-    while j + 4 <= n {
-        // SAFETY: `j + 4 ≤ n` bounds the single 4-lane column group the
-        // same way as the 8-column step above.
-        unsafe {
-            let mut acc = [_mm_setzero_ps(); R];
-            for (r, slot) in acc.iter_mut().enumerate() {
-                *slot = _mm_loadu_ps(out.as_ptr().add(r * n + j));
-            }
-            for p in pc..pc + kc {
-                let vb = _mm_loadu_ps(b.as_ptr().add(p * n + j));
-                for (r, slot) in acc.iter_mut().enumerate() {
-                    let av = *a.get_unchecked(abase + r * k + p);
-                    if SKIP && av == 0.0 {
-                        continue;
-                    }
-                    *slot = _mm_add_ps(*slot, _mm_mul_ps(_mm_set1_ps(av), vb));
-                }
-            }
-            for (r, slot) in acc.iter().enumerate() {
-                _mm_storeu_ps(out.as_mut_ptr().add(r * n + j), *slot);
-            }
-        }
-        j += 4;
-    }
-    tail_cols::<R, SKIP>(a, b, abase, k, n, pc, kc, j, out);
-}
-
-/// Portable register tile for non-x86 targets: unrolled over `mr` rows with
-/// an autovectorizable axpy inner loop, same order and skip rule.
-#[cfg(not(target_arch = "x86_64"))]
+/// Portable register tile for CPUs without AVX2: unrolled over `mr` rows
+/// with an autovectorizable axpy inner loop, same order and skip rule.
 #[allow(clippy::too_many_arguments)] // a GEMM tile is dims + panel + operands
 fn tile_portable(
     a: &[f32],
@@ -431,6 +341,13 @@ mod tests {
 
     /// The canonical oracle, under its historical test name.
     use naive_matmul as seed_matmul;
+
+    /// Every tier this CPU can run: the detected one and the portable tile
+    /// (the same tier twice on a CPU without AVX2), so each test below
+    /// covers the portable fallback on AVX2 hosts too.
+    fn tiers() -> [Tier; 2] {
+        [Tier::detect(), Tier::Portable]
+    }
 
     fn ramp(len: usize, salt: usize) -> Vec<f32> {
         (0..len)
@@ -474,9 +391,11 @@ mod tests {
         ] {
             let a = ramp(m * k, 1 + m);
             let b = ramp(k * n, 2 + n);
-            let got = matmul(&a, &b, m, k, n, 1);
             let want = seed_matmul(&a, &b, m, k, n);
-            assert_bits_eq(&got, &want, &format!("{m}x{k}x{n}"));
+            for tier in tiers() {
+                let got = matmul_on(tier, &a, &b, m, k, n, 1);
+                assert_bits_eq(&got, &want, &format!("{tier:?} {m}x{k}x{n}"));
+            }
         }
     }
 
@@ -488,36 +407,46 @@ mod tests {
         let a = vec![-0.0, 0.0, -1.0, 0.0, -0.0, 2.0, -0.0, -0.0];
         let b = vec![-3.0, -0.0, 0.0, 5.0, -0.0, -0.0, 1.0, -7.0];
         for (m, k, n) in [(2, 4, 2), (4, 2, 4), (1, 8, 1)] {
-            let got = matmul(&a, &b, m, k, n, 1);
             let want = seed_matmul(&a, &b, m, k, n);
-            assert_bits_eq(&got, &want, &format!("-0.0 {m}x{k}x{n}"));
+            for tier in tiers() {
+                let got = matmul_on(tier, &a, &b, m, k, n, 1);
+                assert_bits_eq(&got, &want, &format!("{tier:?} -0.0 {m}x{k}x{n}"));
+            }
         }
     }
 
     #[test]
     fn zero_times_non_finite_propagates_nan() {
         // 0·∞ and 0·NaN must reach the output, exactly as in the seed.
-        let a = vec![0.0, 1.0];
-        let b = vec![f32::INFINITY, 2.0];
-        assert!(matmul(&a, &b, 1, 2, 1, 1)[0].is_nan(), "0 x inf");
-        let bn = vec![f32::NAN, 2.0];
-        assert!(matmul(&a, &bn, 1, 2, 1, 1)[0].is_nan(), "0 x NaN");
-        // Finite rhs takes the skip path and stays exact.
-        let bf = vec![3.0, 2.0];
-        assert_eq!(matmul(&a, &bf, 1, 2, 1, 1), vec![2.0]);
-        // Wide-enough shapes push the non-finite case through the vector
-        // kernels too.
-        let (m, k, n) = (5, 9, 19);
-        let mut bw = ramp(k * n, 3);
-        bw[k * n / 2] = f32::NEG_INFINITY;
-        let aw = ramp(m * k, 4);
-        let got = matmul(&aw, &bw, m, k, n, 1);
-        let want = seed_matmul(&aw, &bw, m, k, n);
-        for (x, y) in got.iter().zip(want.iter()) {
+        for tier in tiers() {
+            let a = vec![0.0, 1.0];
+            let b = vec![f32::INFINITY, 2.0];
             assert!(
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                "{x} vs {y}"
+                matmul_on(tier, &a, &b, 1, 2, 1, 1)[0].is_nan(),
+                "{tier:?} 0 x inf"
             );
+            let bn = vec![f32::NAN, 2.0];
+            assert!(
+                matmul_on(tier, &a, &bn, 1, 2, 1, 1)[0].is_nan(),
+                "{tier:?} 0 x NaN"
+            );
+            // Finite rhs takes the skip path and stays exact.
+            let bf = vec![3.0, 2.0];
+            assert_eq!(matmul_on(tier, &a, &bf, 1, 2, 1, 1), vec![2.0]);
+            // Wide-enough shapes push the non-finite case through the vector
+            // kernels too.
+            let (m, k, n) = (5, 9, 19);
+            let mut bw = ramp(k * n, 3);
+            bw[k * n / 2] = f32::NEG_INFINITY;
+            let aw = ramp(m * k, 4);
+            let got = matmul_on(tier, &aw, &bw, m, k, n, 1);
+            let want = seed_matmul(&aw, &bw, m, k, n);
+            for (x, y) in got.iter().zip(want.iter()) {
+                assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "{tier:?}: {x} vs {y}"
+                );
+            }
         }
     }
 
@@ -527,9 +456,11 @@ mod tests {
         let a = ramp(m * k, 5);
         let b = ramp(k * n, 6);
         let serial = matmul(&a, &b, m, k, n, 1);
-        for threads in [2usize, 3, 7, 0] {
-            let par = matmul(&a, &b, m, k, n, threads);
-            assert_bits_eq(&par, &serial, &format!("threads={threads}"));
+        for tier in tiers() {
+            for threads in [2usize, 3, 7, 0] {
+                let par = matmul_on(tier, &a, &b, m, k, n, threads);
+                assert_bits_eq(&par, &serial, &format!("{tier:?} threads={threads}"));
+            }
         }
     }
 

@@ -48,10 +48,8 @@ pub(super) const K1: usize = 16;
 const TILE_ROWS: usize = 16;
 
 /// The AVX2 span kernel ([`super::backend::SpanKernel`] shape).
-#[allow(clippy::too_many_arguments)] // the SpanKernel signature: dims + operands + dispatch context
 pub(super) fn gemm_span(
     ap: PlaneView<'_, i16>,
-    r0: usize,
     rows: usize,
     bp: PlaneView<'_, i16>,
     n: usize,
@@ -62,20 +60,18 @@ pub(super) fn gemm_span(
     debug_assert!(ap.k1 == K1 && bp.k1 == K1);
     // SAFETY: a panel-major B plane is only built when the backend layer
     // verified AVX2 support at pack time.
-    unsafe { gemm_span_avx2(ap, r0, rows, bp, n, c, ctx, out) }
+    unsafe { gemm_span_avx2(ap, rows, bp, n, c, ctx, out) }
 }
 
 /// # Safety
 ///
 /// Requires AVX2 (verified at pack time before a panel-major plane exists).
 /// `ap`/`bp` must be consistent planes (`k1 = 16`, codes/exponents sized to
-/// `blocks`), `r0 + rows` within the A plane, `n` within the B plane, and
+/// `blocks`), `rows` within the A plane, `n` within the B plane, and
 /// `out` at least `rows × n`.
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // the SpanKernel signature: dims + operands + dispatch context
 unsafe fn gemm_span_avx2(
     ap: PlaneView<'_, i16>,
-    r0: usize,
     rows: usize,
     bp: PlaneView<'_, i16>,
     n: usize,
@@ -102,7 +98,7 @@ unsafe fn gemm_span_avx2(
             };
             let mut t = 0;
             while t < tm {
-                let row = r0 + i0 + t;
+                let row = i0 + t;
                 let au = ap.uexp[row];
                 let acodes = &ap.codes[row * blocks * K1..][..blocks * K1];
                 let defer = ctx.enabled && panel_defers(au);
@@ -145,7 +141,7 @@ unsafe fn gemm_span_avx2(
             let pbase = n8 * blocks;
             let width = n - n8;
             for t in 0..tm {
-                let row = r0 + i0 + t;
+                let row = i0 + t;
                 let au = ap.uexp[row];
                 let acodes = &ap.codes[row * blocks * K1..][..blocks * K1];
                 let out_row = &mut out[(i0 + t) * n..][..n];

@@ -14,12 +14,10 @@
 //! `gemm_backends` integration suite enforces this by forcing every
 //! backend over the full preset matrix.
 //!
-//! Four backends exist today, each in its own sibling module:
+//! Three backends exist today, each in its own sibling module:
 //!
-//! - [`super::scalar`] — portable Rust, no intrinsics; the reference
-//!   implementation and the only backend off x86-64;
-//! - [`super::sse2`] — `pmaddwd` block dots (baseline x86-64 ABI),
-//!   vector-major B;
+//! - [`super::scalar`] — portable Rust, no intrinsics, vector-major B; the
+//!   reference implementation and the only backend off x86-64;
 //! - [`super::avx2`] — panel-major B, register-blocked 8-column panels
 //!   (two rows at a time where deferral holds) with deferred scale-out
 //!   (generation 2), and an in-register per-block scale-out panel as the
@@ -52,8 +50,7 @@
 //!    `pub`, and `X` is gated by `is_x86_feature_detected!("X")`**
 //!    somewhere in the crate (rule `target-feature`). The dispatch layer
 //!    here is that gate: a new ISA variant must only be selectable after
-//!    detection says so, exactly like [`KernelBackend::Avx2`]. (`sse2`
-//!    is exempt — it is part of the x86-64 baseline ABI.)
+//!    detection says so, exactly like [`KernelBackend::Avx2`].
 //! 3. **Wire the backend into CI** (rule `ci-wiring`): extend the
 //!    `gemm_backends` suite to force the new variant over the preset
 //!    matrix, and if you add a new test file or bench harness, name it
@@ -90,15 +87,15 @@
 //!    `vpdpwssd` on its own `is_x86_feature_detected!` probe, and the
 //!    kernel keeps a same-speed-class `vpmaddwd`+`vpaddd` variant behind
 //!    the same call signature so the backend (and its bit-identity) never
-//!    depends on the optional instruction. `MX_KERNEL_VNNI=0` (or
-//!    [`force_vnni`]) selects the fallback for A/B measurement.
+//!    depends on the optional instruction. [`force_vnni`] selects the
+//!    fallback for in-process A/B measurement.
 //!
 //! # Selection
 //!
 //! [`selected_backend`] resolves, in priority order: the process-wide
 //! programmatic override ([`force_kernel_backend`], used by tests and the
 //! `kernel_sweep` bench), the `MX_KERNEL_BACKEND` environment variable
-//! (`auto` / `scalar` / `sse2` / `avx2` / `avx512`, read once), then the
+//! (`auto` / `scalar` / `avx2` / `avx512`, read once), then the
 //! best backend the CPU supports. An environment request the CPU cannot
 //! honor degrades to the best available (forcing `avx512` on a non-AVX-512
 //! machine runs AVX2) with a one-line stderr warning naming what actually
@@ -109,8 +106,8 @@
 //! actually ran.
 //!
 //! The choice is honored at **pack time**: each panel backend consumes a
-//! panel-major B plane of its own width (8 columns for AVX2, 16 for
-//! AVX-512), the others vector-major, so
+//! panel-major B plane of its own width (8 columns for AVX2, 4 for
+//! AVX-512), the scalar kernel a vector-major one, so
 //! [`super::PackedOperand::pack_cols`] lays the plane out for the backend
 //! selected when it runs, and execution always follows the plane's
 //! recorded layout (a panel plane runs its backend's kernels even if the
@@ -120,7 +117,7 @@
 use super::pack::PlaneView;
 use super::DeferCtx;
 use crate::bdr::BdrFormat;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// The ISA tier executing the narrow (`i16`-code) integer GEMM path. The
@@ -131,8 +128,6 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// Portable Rust, no intrinsics.
     Scalar,
-    /// `pmaddwd` block dots (part of the x86-64 baseline ABI).
-    Sse2,
     /// Wide-tile deferred-scale-out kernel over 8-column panel-major B.
     Avx2,
     /// 512-bit kernel over 4-column chunk-paired panels, with masked
@@ -142,11 +137,10 @@ pub enum KernelBackend {
 
 impl KernelBackend {
     /// The knob spelling of this backend
-    /// (`scalar` / `sse2` / `avx2` / `avx512`).
+    /// (`scalar` / `avx2` / `avx512`).
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
             KernelBackend::Avx512 => "avx512",
         }
@@ -157,7 +151,6 @@ impl KernelBackend {
 fn parse_backend_name(name: &str) -> Option<KernelBackend> {
     match name {
         "scalar" => Some(KernelBackend::Scalar),
-        "sse2" => Some(KernelBackend::Sse2),
         "avx2" => Some(KernelBackend::Avx2),
         "avx512" => Some(KernelBackend::Avx512),
         _ => None,
@@ -210,27 +203,14 @@ pub(super) fn avx512_vnni_available() -> bool {
 
 /// The best backend the running CPU supports.
 fn best_available() -> KernelBackend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            KernelBackend::Avx512
-        } else if avx2_available() {
-            KernelBackend::Avx2
-        } else {
-            KernelBackend::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    KernelBackend::Scalar
+    clamp_available(KernelBackend::Avx512)
 }
 
 /// Caps a requested backend at what the CPU can actually run.
 fn clamp_available(req: KernelBackend) -> KernelBackend {
     match req {
         KernelBackend::Avx512 if !avx512_available() => clamp_available(KernelBackend::Avx2),
-        KernelBackend::Avx2 if !avx2_available() => clamp_available(KernelBackend::Sse2),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Sse2 => KernelBackend::Scalar,
+        KernelBackend::Avx2 if !avx2_available() => KernelBackend::Scalar,
         other => other,
     }
 }
@@ -251,7 +231,7 @@ fn env_backend_warning(
     match parsed {
         None => Some(format!(
             "mx-core: MX_KERNEL_BACKEND={value:?} is not a recognized backend \
-             (expected auto | scalar | sse2 | avx2 | avx512); using {}",
+             (expected auto | scalar | avx2 | avx512); using {}",
             resolved.name()
         )),
         Some(req) if req != resolved => Some(format!(
@@ -288,25 +268,21 @@ fn env_backend() -> Option<KernelBackend> {
 pub fn selected_backend() -> KernelBackend {
     let req = match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
         1 => KernelBackend::Scalar,
-        2 => KernelBackend::Sse2,
-        3 => KernelBackend::Avx2,
-        4 => KernelBackend::Avx512,
+        2 => KernelBackend::Avx2,
+        3 => KernelBackend::Avx512,
         _ => env_backend().unwrap_or_else(best_available),
     };
     clamp_available(req)
 }
 
-/// Name of the effective backend (`"scalar"` / `"sse2"` / `"avx2"` /
-/// `"avx512"`) — what benches and `serve_loadgen` report alongside their
-/// numbers.
+/// Name of the effective backend (`"scalar"` / `"avx2"` / `"avx512"`) —
+/// what benches and `serve_loadgen` report alongside their numbers.
 ///
 /// # Examples
 ///
 /// ```
-/// // Whatever the machine, the name is one of the four tiers.
-/// assert!(
-///     ["scalar", "sse2", "avx2", "avx512"].contains(&mx_core::gemm::kernel_backend_name())
-/// );
+/// // Whatever the machine, the name is one of the three tiers.
+/// assert!(["scalar", "avx2", "avx512"].contains(&mx_core::gemm::kernel_backend_name()));
 /// ```
 pub fn kernel_backend_name() -> &'static str {
     selected_backend().name()
@@ -360,87 +336,50 @@ pub fn force_kernel_backend(backend: Option<KernelBackend>) -> Result<(), Backen
     let v = match backend {
         None => 0,
         Some(KernelBackend::Scalar) => 1,
-        Some(KernelBackend::Sse2) => 2,
-        Some(KernelBackend::Avx2) => 3,
-        Some(KernelBackend::Avx512) => 4,
+        Some(KernelBackend::Avx2) => 2,
+        Some(KernelBackend::Avx512) => 3,
     };
     BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
     Ok(())
 }
 
-/// Deferral override slot: 0 = unset, 1 = force on, 2 = force off.
-static DEFER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Whether deferred scale-out is armed (on unless forced off).
+static DEFER_ON: AtomicBool = AtomicBool::new(true);
 
-/// Whether deferred scale-out is armed: the [`force_deferred_scale_out`]
-/// override, else `MX_KERNEL_DEFER` (`0` / `off` disables), else on.
-/// Disabling it never changes results — deferral is applied only where it
-/// is provably exact — it only forces the per-block scale-out everywhere,
-/// which is what the `kernel_sweep` bench and the equivalence tests use to
-/// isolate the deferral win.
+/// Whether deferred scale-out is armed: on, unless
+/// [`force_deferred_scale_out`] switched it off. Disabling it never changes
+/// results — deferral is applied only where it is provably exact — it only
+/// forces the per-block scale-out everywhere, which is what the
+/// `kernel_sweep` bench and the equivalence tests use to isolate the
+/// deferral win.
 pub fn deferred_scale_out_enabled() -> bool {
-    match DEFER_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                !matches!(
-                    crate::knobs::raw("MX_KERNEL_DEFER").as_deref(),
-                    Some("0") | Some("off") | Some("false")
-                )
-            })
-        }
-    }
+    DEFER_ON.load(Ordering::Relaxed)
 }
 
-/// Forces deferred scale-out on/off (process-wide), or back to the
-/// environment default with `None`. Results are bit-identical either way.
+/// Forces deferred scale-out on/off (process-wide); `None` restores the
+/// default (on). Results are bit-identical either way.
 pub fn force_deferred_scale_out(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    DEFER_OVERRIDE.store(v, Ordering::Relaxed);
+    DEFER_ON.store(enabled.unwrap_or(true), Ordering::Relaxed);
 }
 
-/// VNNI override slot: 0 = unset, 1 = force on, 2 = force off.
-static VNNI_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Whether the AVX-512 kernel may use VNNI (on unless forced off).
+static VNNI_ON: AtomicBool = AtomicBool::new(true);
 
-/// Whether the AVX-512 kernel uses `vpdpwssd` for its block dots: the
-/// [`force_vnni`] override, else `MX_KERNEL_VNNI` (`0` / `off` / `false`
-/// selects the `vpmaddwd`+`vpaddd` fallback), else on — always clamped to
-/// what [`avx512_vnni_available`] detected. Both paths are bit-identical
-/// (`vpdpwssd` computes exactly the fused chain per lane); the knob only
-/// isolates the instruction-count win for the `kernel_sweep` bench.
+/// Whether the AVX-512 kernel uses `vpdpwssd` for its block dots: on
+/// unless [`force_vnni`] switched it off, and always clamped to what
+/// [`avx512_vnni_available`] detected. Both paths are bit-identical
+/// (`vpdpwssd` computes exactly the fused chain per lane); the override
+/// only isolates the instruction-count win for the `kernel_sweep` bench.
 pub(super) fn vnni_enabled() -> bool {
-    avx512_vnni_available()
-        && match VNNI_OVERRIDE.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => {
-                static ENV: OnceLock<bool> = OnceLock::new();
-                *ENV.get_or_init(|| {
-                    !matches!(
-                        crate::knobs::raw("MX_KERNEL_VNNI").as_deref(),
-                        Some("0") | Some("off") | Some("false")
-                    )
-                })
-            }
-        }
+    avx512_vnni_available() && VNNI_ON.load(Ordering::Relaxed)
 }
 
-/// Forces the AVX-512 kernel's VNNI block dots on/off (process-wide), or
-/// back to the environment default with `None`. "On" still requires the
-/// CPU to have AVX-512-VNNI — like `MX_KERNEL_BACKEND`, the knob can only
-/// narrow the ISA, never fake one. Results are bit-identical either way.
+/// Forces the AVX-512 kernel's VNNI block dots on/off (process-wide); `None`
+/// restores the default (on). "On" still requires the CPU to have
+/// AVX-512-VNNI — like `MX_KERNEL_BACKEND`, the override can only narrow
+/// the ISA, never fake one. Results are bit-identical either way.
 pub fn force_vnni(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    VNNI_OVERRIDE.store(v, Ordering::Relaxed);
+    VNNI_ON.store(enabled.unwrap_or(true), Ordering::Relaxed);
 }
 
 /// Builds the per-GEMM deferral context for an `(fa, fb)` pair whose
@@ -503,43 +442,35 @@ pub(super) fn defer_ctx(fa: &BdrFormat, fb: &BdrFormat, blocks: usize, c: i32) -
     }
 }
 
-/// A span kernel: computes output rows `r0 .. r0 + rows` (written at
-/// offset 0 of `out`, a `rows × n` slice) from an A plane and a B plane —
-/// the unit of work the row-parallel dispatch and the fused per-tile path
-/// both schedule. See the module docs for the bit-identity contract.
+/// A span kernel: computes the output rows of the A plane's first `rows`
+/// rows (into `out`, a `rows × n` slice) against a B plane — the unit of
+/// work the fused loop schedules once per freshly lowered activation
+/// strip. See the module docs for the bit-identity contract.
 pub(super) type SpanKernel<C> =
-    fn(PlaneView<'_, C>, usize, usize, PlaneView<'_, C>, usize, i32, DeferCtx, &mut [f32]);
+    fn(PlaneView<'_, C>, usize, PlaneView<'_, C>, usize, i32, DeferCtx, &mut [f32]);
 
 /// The narrow-pair span kernel for a B plane packed with the given panel
 /// width: a 4-wide plane always runs the AVX-512 kernel and an 8-wide
 /// plane the AVX2 kernels (each layout is only ever built when the CPU
-/// supports its backend); a vector-major plane (`b_panel_n == 0`) runs
-/// the selected backend, with the panel backends degrading to SSE2
-/// (their kernels require their own layout).
+/// supports its backend); a vector-major plane (`b_panel_n == 0` — the
+/// forced `scalar` backend, or a block size the panel kernels do not
+/// cover) runs the portable kernel.
 pub(super) fn narrow_span_kernel(b_panel_n: usize) -> SpanKernel<i16> {
     #[cfg(target_arch = "x86_64")]
-    {
-        match b_panel_n {
-            super::PANEL_N_512 => return super::avx512::gemm_span,
-            super::PANEL_N => return super::avx2::gemm_span,
-            _ => {}
-        }
-        match selected_backend() {
-            KernelBackend::Scalar => super::scalar::gemm_span::<i16, false>,
-            _ => super::sse2::gemm_span,
-        }
+    match b_panel_n {
+        super::PANEL_N_512 => return super::avx512::gemm_span,
+        super::PANEL_N => return super::avx2::gemm_span,
+        _ => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = b_panel_n;
-        super::scalar::gemm_span::<i16, false>
-    }
+    let _ = b_panel_n;
+    super::scalar::gemm_span::<i16>
 }
 
 /// The wide-pair span kernel (exotic custom formats): always the portable
 /// generic kernel with the chunked `i64`-accumulator dot.
 pub(super) fn wide_span_kernel() -> SpanKernel<i32> {
-    super::scalar::gemm_span::<i32, true>
+    super::scalar::gemm_span::<i32>
 }
 
 // These tests deliberately avoid mutating the process-wide override slots
@@ -554,27 +485,31 @@ mod tests {
     fn backend_names_round_trip_through_the_parser() {
         for backend in [
             KernelBackend::Scalar,
-            KernelBackend::Sse2,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
         ] {
             assert_eq!(parse_backend_name(backend.name()), Some(backend));
         }
-        for bogus in ["auto", "", "AVX512", "avx-512", "neon", "avx9000"] {
+        for bogus in ["auto", "", "AVX512", "avx-512", "neon", "avx9000", "sse2"] {
             assert_eq!(parse_backend_name(bogus), None, "{bogus:?}");
         }
     }
 
     #[test]
     fn unrecognized_env_value_warns_naming_the_resolved_backend() {
-        let warning = env_backend_warning("avx9000", None, KernelBackend::Avx512)
-            .expect("an unknown name must warn");
-        assert!(warning.contains("avx9000"), "{warning}");
-        assert!(warning.contains("using avx512"), "{warning}");
-        assert!(
-            warning.contains("avx2 | avx512"),
-            "lists the choices: {warning}"
-        );
+        // `sse2` names no backend: it warns like any typo.
+        for value in ["avx9000", "sse2"] {
+            let parsed = parse_backend_name(value);
+            assert_eq!(parsed, None, "{value:?}");
+            let warning = env_backend_warning(value, parsed, KernelBackend::Avx512)
+                .expect("an unknown name must warn");
+            assert!(warning.contains(value), "{warning}");
+            assert!(warning.contains("using avx512"), "{warning}");
+            assert!(
+                warning.contains("auto | scalar | avx2 | avx512"),
+                "lists the choices: {warning}"
+            );
+        }
     }
 
     #[test]
@@ -589,7 +524,7 @@ mod tests {
     #[test]
     fn honorable_env_value_stays_silent() {
         assert_eq!(
-            env_backend_warning("sse2", Some(KernelBackend::Sse2), KernelBackend::Sse2),
+            env_backend_warning("scalar", Some(KernelBackend::Scalar), KernelBackend::Scalar),
             None
         );
     }

@@ -31,16 +31,17 @@
 //! static, so that cost is pure waste when paid per call. The module
 //! therefore separates the two stages:
 //!
-//! - [`PackedOperand::pack_rows`] / [`PackedOperand::pack_cols`] lower an
-//!   operand **once** to a reusable code plane (through the engine's
-//!   single-pass block lowering — the same plan and rounding rule as
+//! - [`PackedOperand::pack_cols`] lowers the weight operand **once** to a
+//!   reusable code plane (through the engine's single-pass block lowering
+//!   — the same plan and rounding rule as
 //!   [`crate::engine::QuantEngine::quantize_block_codes`]);
-//! - [`quantized_gemm_prepacked`] multiplies fresh activations against a
-//!   prepacked weight plane, packing only the A side;
-//! - [`quantized_gemm_packed`] executes over two prepacked planes — the
-//!   pure integer GEMM with zero packing cost;
-//! - [`quantized_gemm`] is a thin wrapper that packs both sides ad hoc
-//!   (the PR 2 behavior, bit-identical then and now).
+//!   [`PackedOperand::pack_rows`] lowers an activation operand the same
+//!   way, as a standalone measure of the lowering cost;
+//! - [`quantized_gemm_prepacked_scratch`] — the one execute entry —
+//!   multiplies fresh activations against a prepacked weight plane,
+//!   quantizing only the A side, inside the execute loop (below);
+//! - [`quantized_gemm`] is a thin wrapper that packs B ad hoc and calls
+//!   the execute entry.
 //!
 //! `mx-nn` caches the weight-side [`PackedOperand`] on the tensor itself
 //! (keyed by format pair and invalidated through a generation counter on
@@ -50,9 +51,9 @@
 //!
 //! # Kernel backends
 //!
-//! The execute stage runs on one of four interchangeable **backends** —
-//! portable scalar, SSE2, AVX2, and AVX-512, each its own submodule behind
-//! the span-kernel function-pointer seam in [`backend`] (where the full
+//! The execute stage runs on one of three interchangeable **backends** —
+//! portable scalar, AVX2, and AVX-512, each its own submodule behind the
+//! span-kernel function-pointer seam in [`backend`] (where the full
 //! dispatch contract is documented). Selection is automatic (best the CPU
 //! supports), overridable with the `MX_KERNEL_BACKEND` env knob or
 //! [`force_kernel_backend`], and reported by [`kernel_backend_name`].
@@ -72,43 +73,25 @@
 //! multiply-add) only *loosens* each lane's integer headroom
 //! (`defer_ctx` documents the per-backend derivation). Elements that
 //! cannot be proven exact fall back to the per-block chain — deferral
-//! never changes results, and `MX_KERNEL_DEFER=0` (or
-//! [`force_deferred_scale_out`]) switches it off wholesale for A/B
-//! measurement.
+//! never changes results, and [`force_deferred_scale_out`] switches it off
+//! wholesale for in-process A/B measurement.
 //!
-//! # Fused activation lowering (pack-on-the-fly) and the dispatch contract
+//! # Fused activation lowering (pack-on-the-fly)
 //!
 //! With B amortized, the remaining per-call quantization cost is the A
-//! (activation) side. Two ways to pay it:
-//!
-//! - **two-pass** ([`quantized_gemm_twopass_scratch`]) — lower all of A to
-//!   a code plane first, then execute over the two planes. One sweep of
-//!   `f32` work, one sweep of integer work; the A plane is materialized in
-//!   full between them.
-//! - **fused** ([`quantized_gemm_fused`]) — quantize A one
-//!   [`FUSED_MAX_M`]-row strip at a time *inside* the execute loop, through the engine's
-//!   tile-granular block-lowering entry, into a small scratch tile ring
-//!   that is consumed immediately by the same kernels. The strip's codes
-//!   never leave L1, the full A plane is never materialized, and the
-//!   per-sub-block ulp reciprocal is hoisted out of the element loop —
-//!   this is the paper's Fig. 8 compute flow, where quantization is a
-//!   pipeline stage of the consuming dot-product datapath rather than a
-//!   separate kernel.
-//!
-//! [`quantized_gemm_prepacked_scratch`] (and therefore
-//! [`quantized_gemm_prepacked`], `mx-nn`'s `quantized_matmul_ab`, and the
-//! whole `mx-serve` batch path) is the **single shape-aware dispatch
-//! point**: serving-shaped calls (`m ≤` [`FUSED_MAX_M`] rows) take the
-//! fused path, larger (training-shaped) calls keep the two-pass prepack,
-//! whose single long `f32` sweep streams A once instead of interleaving
-//! float and integer phases per tile. Both paths run the identical block
-//! plan, rounding rule, kernels, and accumulation order, so the choice is
-//! **bit-invisible**: fused == two-pass == [`reference_gemm`] bit for bit
-//! for every supported format pair (`tests/gemm_fused.rs` proves it across
-//! presets, ragged K, degenerate shapes, and thread counts). The format
-//! gate itself stays [`pair_class`]-driven exactly as before; the shape
-//! gate only picks *how* A is lowered, never *whether* the code domain
-//! applies.
+//! (activation) side. [`quantized_gemm_prepacked_scratch`] quantizes A one
+//! row strip at a time *inside* the execute loop, through the engine's
+//! tile-granular block-lowering entry, into a small scratch tile ring
+//! ([`PackScratch`]) that the same kernels consume immediately. The
+//! strip's codes never leave L1, the full A plane is never materialized,
+//! and the per-sub-block ulp reciprocal is hoisted out of the element
+//! loop — this is the paper's Fig. 8 compute flow, where quantization is a
+//! pipeline stage of the consuming dot-product datapath rather than a
+//! separate kernel. Every caller — `mx-nn`'s `quantized_matmul_ab`, the
+//! compiled plans, and through them the whole `mx-serve` batch path and
+//! training — runs this one strategy at every `m`. The format gate stays
+//! [`pair_class`]-driven: it decides *whether* the code domain applies,
+//! never *how* A is lowered.
 //!
 //! # Exactness
 //!
@@ -119,24 +102,27 @@
 //! in the 52-bit exact-integer range of `f64`, and both paths round once
 //! per block pair before accumulating in `f32` in the same K-block order —
 //! with deferred scale-out applied only where that chain provably never
-//! rounds at all. This is an equality, not a tolerance — the consistency
-//! and `gemm_backends` suites assert it bit for bit, prepacked or not, on
-//! every backend.
+//! rounds at all. This is an equality, not a tolerance — the consistency,
+//! `gemm_fused`, and `gemm_backends` suites assert it bit for bit, prepacked
+//! or not, on every backend and thread count.
 //!
 //! # Examples
 //!
 //! ```
 //! use mx_core::bdr::BdrFormat;
-//! use mx_core::gemm::{quantized_gemm, quantized_gemm_prepacked, PackedOperand};
+//! use mx_core::gemm::{
+//!     quantized_gemm, quantized_gemm_prepacked_scratch, PackScratch, PackedOperand,
+//! };
 //!
 //! let fmt = BdrFormat::MX6;
 //! let b: Vec<f32> = (0..32 * 3).map(|i| (i as f32 * 0.13).cos()).collect();
 //! // Pack the static operand once ...
 //! let pb = PackedOperand::pack_cols(&b, 32, 3, fmt, fmt).unwrap();
+//! let mut scratch = PackScratch::new();
 //! // ... and reuse it across calls with fresh activations.
 //! for step in 0..3 {
 //!     let a: Vec<f32> = (0..2 * 32).map(|i| ((i + step) as f32 * 0.17).sin()).collect();
-//!     let y = quantized_gemm_prepacked(&a, 2, fmt, &pb, 1).unwrap();
+//!     let y = quantized_gemm_prepacked_scratch(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
 //!     assert_eq!(y, quantized_gemm(&a, &b, 2, 32, 3, fmt, fmt, 1).unwrap());
 //! }
 //! ```
@@ -152,8 +138,6 @@ mod avx512;
 pub mod backend;
 mod pack;
 mod scalar;
-#[cfg(target_arch = "x86_64")]
-mod sse2;
 
 pub use backend::{
     deferred_scale_out_enabled, force_deferred_scale_out, force_kernel_backend, force_vnni,
@@ -162,7 +146,7 @@ pub use backend::{
 pub use pack::{PackScratch, PackedOperand};
 
 use backend::SpanKernel;
-use pack::{pack_into, Plane, PlaneView, MIXED_EXP};
+use pack::{Plane, PlaneView, StripRing, MIXED_EXP};
 
 /// Rows of A processed per tile: each loaded B column-block is reused for
 /// this many output rows, cutting B-code traffic by the tile height.
@@ -280,33 +264,14 @@ fn c_half(fmt: &BdrFormat) -> i32 {
 /// [`pair_class`] width gates) lives in [`engine::AlignedCode`], which the
 /// engine's tile-granular lowering writes directly.
 trait Code: engine::AlignedCode {
-    /// Exact integer dot product of two equal-length blocks, using the
-    /// best baseline-ISA instruction available.
+    /// Exact integer dot product of two equal-length blocks in portable
+    /// Rust — the block dot of the scalar kernel.
     fn dot(a: &[Self], b: &[Self]) -> i64;
-
-    /// Exact integer dot product in pure portable Rust — what the forced
-    /// `scalar` backend runs.
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64;
 }
 
 impl Code for i16 {
     #[inline(always)]
     fn dot(a: &[Self], b: &[Self]) -> i64 {
-        // `pmaddwd` (SSE2, part of the x86-64 baseline ABI) is the exact
-        // hardware form of this datapath: packed 16-bit multiplies with
-        // pairwise 32-bit accumulation — one instruction per 8 codes.
-        #[cfg(target_arch = "x86_64")]
-        {
-            sse2::dot(a, b) as i64
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Self::dot_scalar(a, b)
-        }
-    }
-
-    #[inline(always)]
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64 {
         // The i32 accumulator cannot overflow: pairwise i16 products are
         // below 2^31 because `w_a + w_b ≤ 30`, and the block total is
         // bounded by the `w_a + w_b + ⌈log2 k1⌉ ≤ 31` dispatch gate.
@@ -334,11 +299,6 @@ impl Code for i32 {
             acc += i64::from(x) * i64::from(y);
         }
         acc
-    }
-
-    #[inline(always)]
-    fn dot_scalar(a: &[Self], b: &[Self]) -> i64 {
-        Self::dot(a, b)
     }
 }
 
@@ -429,251 +389,147 @@ pub(crate) fn gemm_workers(m: usize, n: usize, k: usize, threads: usize) -> usiz
     }
 }
 
-/// Executes the integer GEMM over two prepacked operands — the pure
-/// "execute" half of the split, with zero packing cost.
-///
-/// Returns `None` (rather than silently repacking) when the operands are
-/// not executable together: `pa` must be a [`Side::Rows`] plane and `pb` a
-/// [`Side::Cols`] plane over the same reduction length, their format pair
-/// must pass [`code_domain_supported`], and both planes must hold the code
-/// width that pair requires (which they do whenever each was packed for a
-/// partner in the same kernel class — see [`PackedOperand`]).
-///
-/// `threads` follows [`quantized_gemm`]'s convention (`0` = all cores; the
-/// row split is block-aligned, so the result is bit-identical regardless of
-/// thread count).
-pub fn quantized_gemm_packed(
-    pa: &PackedOperand,
-    pb: &PackedOperand,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    if pa.side != Side::Rows || pb.side != Side::Cols || pa.len != pb.len {
-        return None;
-    }
-    let class = pair_class(&pa.fmt, &pb.fmt)?;
-    let views = match (&pa.plane, &pb.plane) {
-        (Plane::Narrow(ap), Plane::Narrow(bp)) => PairViews::Narrow(ap.view(), bp.view()),
-        (Plane::Wide(ap), Plane::Wide(bp)) => PairViews::Wide(ap.view(), bp.view()),
-        // The executed pair holds mismatched code widths (each side packed
-        // for a partner in a different kernel class); callers fall back
-        // rather than silently re-lowering.
-        _ => return None,
-    };
-    let c = pa.c_half + pb.c_half;
-    let ctx = backend::defer_ctx(&pa.fmt, &pb.fmt, blocks_of(pa.len, &pa.fmt), c);
-    execute(
-        views, pb.panel_n, class, pa.vectors, pb.vectors, pa.len, c, ctx, threads,
-    )
-}
+/// Activation rows quantized per strip of the fused loop. Strips are as
+/// tall as a coalesced serving micro-batch, so the kernel sees the widest
+/// row span it can block over — the kernel's own row tiling (not the strip
+/// height) decides how often the B plane is re-streamed — while a strip's
+/// codes (≈ 32 KiB at `K = 512`) still stay cache-hot between lowering and
+/// consumption.
+const STRIP_M: usize = 32;
 
-/// A matched pair of A/B plane views sharing one code width.
-enum PairViews<'a> {
-    Narrow(PlaneView<'a, i16>, PlaneView<'a, i16>),
-    Wide(PlaneView<'a, i32>, PlaneView<'a, i32>),
-}
-
-/// The shared execute stage: runs the integer GEMM over two already-lowered
-/// planes on the backend the dispatch layer selects. Returns `None` when
-/// the planes' code width disagrees with what `class` requires (packed for
-/// a partner in the other kernel class).
-#[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + dispatch knobs
-fn execute(
-    views: PairViews<'_>,
-    b_panel_n: usize,
-    class: PairClass,
-    m: usize,
-    n: usize,
+/// Everything one fused GEMM shares across its row spans: the activation
+/// operand, the execute geometry, and the deferral context.
+struct FusedGemm<'a> {
+    a: &'a [f32],
     k: usize,
+    n: usize,
+    fa: &'a BdrFormat,
     c: i32,
     ctx: DeferCtx,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    let mut out = vec![0.0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return Some(out);
-    }
-    let workers = gemm_workers(m, n, k, threads);
-    match views {
-        PairViews::Narrow(ap, bp) if class == PairClass::Narrow => {
-            let kernel = backend::narrow_span_kernel(b_panel_n);
-            dispatch_rows(m, n, workers, &mut out, |start, rows, part| {
-                kernel(ap, start, rows, bp, n, c, ctx, part);
-            });
-        }
-        PairViews::Wide(ap, bp) if class == PairClass::Wide => {
-            let kernel = backend::wide_span_kernel();
-            dispatch_rows(m, n, workers, &mut out, |start, rows, part| {
-                kernel(ap, start, rows, bp, n, c, ctx, part);
-            });
-        }
-        _ => return None,
-    }
-    Some(out)
 }
 
-/// Largest `M` (activation rows) the automatic dispatch in
-/// [`quantized_gemm_prepacked_scratch`] routes to the fused
-/// pack-on-the-fly path. Serving shapes — autoregressive decode (`m = 1`)
-/// up to coalesced micro-batches (`m = 32`) — quantize their activation
-/// strips inside the execute loop; larger training-shaped GEMMs keep the
-/// two-pass prepack, whose single long `f32` sweep streams A once instead
-/// of interleaving float and integer phases per tile.
-pub const FUSED_MAX_M: usize = 32;
+impl FusedGemm<'_> {
+    /// Runs [`Self::span`] over all `m` rows, serially through the
+    /// caller's tile ring, or row-parallel with small per-worker rings
+    /// (each at most [`STRIP_M`] rows — cheap next to the per-span output
+    /// buffer the parallel dispatch already allocates). Spans are whole
+    /// rows, so the output is bit-identical either way.
+    fn run<C: Code>(
+        &self,
+        m: usize,
+        workers: usize,
+        bp: PlaneView<'_, C>,
+        ring: &mut StripRing<C>,
+        kernel: SpanKernel<C>,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * self.n];
+        if m == 0 || self.n == 0 || self.k == 0 {
+            return out;
+        }
+        if workers <= 1 {
+            self.span(bp, 0, m, ring, &mut out, kernel);
+        } else {
+            dispatch_rows(m, self.n, workers, &mut out, |r0, rows, part| {
+                self.span(bp, r0, rows, &mut StripRing::default(), part, kernel);
+            });
+        }
+        out
+    }
 
-/// The fused inner loop over one span of output rows `r0 .. r0 + rows`:
-/// for each strip of up to [`FUSED_MAX_M`] rows, lower the strip's A rows
-/// block by block through [`engine::lower_block_into`] into the scratch
-/// tile ring (`codes` / `exps` / `uexp`, reused across strips), then
-/// execute `kernel` over the freshly quantized strip against the cached B
-/// plane. The strip's codes are consumed while still cache-hot and the
-/// full A plane is never materialized. Strips are as tall as the fused
-/// dispatch cap so the kernel sees the widest row span it can block over —
-/// the kernel's own row tiling (not the strip height) decides how often
-/// the B plane is re-streamed, which is what bounds B traffic at serving
-/// shapes. The per-row uniform-exponent metadata the deferral decision
-/// needs is collected during lowering, so the fused path sees the same
-/// [`DeferCtx`] coverage as the prepacked paths.
-///
-/// Per output element the K-block loop order, rounding points, and
-/// accumulation are identical to the two-pass path, so the result is
-/// bit-identical to it (and to [`reference_gemm`]).
-#[allow(clippy::too_many_arguments)] // a GEMM span is dims + operands + buffers
-fn fused_span<C: Code>(
-    a: &[f32],
-    k: usize,
-    fa: &BdrFormat,
-    bp: PlaneView<'_, C>,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    r0: usize,
-    rows: usize,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-    out: &mut [f32],
-    kernel: SpanKernel<C>,
-) {
-    let k1 = fa.k1();
-    let blocks = blocks_of(k, fa);
-    let kcodes = blocks * k1;
-    let ring_rows = FUSED_MAX_M.min(rows);
-    codes.clear();
-    codes.resize(ring_rows * kcodes, C::ZERO);
-    exps.clear();
-    exps.resize(ring_rows * blocks, 0);
-    uexp.clear();
-    uexp.resize(ring_rows, 0);
-    let mut i0 = 0;
-    while i0 < rows {
-        let tm = ring_rows.min(rows - i0);
-        for t in 0..tm {
-            let row = &a[(r0 + i0 + t) * k..][..k];
-            let slot0 = t * blocks;
-            let mut seen: Option<i32> = None;
-            let mut mixed = false;
-            for kb in 0..blocks {
-                let start = kb * k1;
-                let blen = k1.min(k - start);
-                // `lower_block_into` writes every slot of its block
-                // (zeroing the ragged tail and all-zero blocks), so the
-                // ring needs no per-tile clear.
-                let e = engine::lower_block_into(
-                    fa,
-                    &row[start..start + blen],
-                    shifts,
-                    &mut codes[(slot0 + kb) * k1..][..k1],
-                );
-                exps[slot0 + kb] = e.unwrap_or(0);
-                if let Some(e) = e {
-                    match seen {
-                        None => seen = Some(e),
-                        Some(u) if u != e => mixed = true,
-                        _ => {}
+    /// The fused inner loop over output rows `r0 .. r0 + rows`: for each
+    /// strip of up to [`STRIP_M`] rows, lower the strip's A rows block by
+    /// block through [`engine::lower_block_into`] into the tile ring
+    /// (reused across strips), then execute `kernel` over the freshly
+    /// quantized strip against the cached B plane. The per-row
+    /// uniform-exponent metadata the deferral decision needs is collected
+    /// during lowering, so the fused strips see the same [`DeferCtx`]
+    /// coverage as a prepacked plane. Per output element the K-block loop
+    /// order, rounding points, and accumulation are those of
+    /// [`reference_gemm`], so the result is bit-identical to it.
+    fn span<C: Code>(
+        &self,
+        bp: PlaneView<'_, C>,
+        r0: usize,
+        rows: usize,
+        ring: &mut StripRing<C>,
+        out: &mut [f32],
+        kernel: SpanKernel<C>,
+    ) {
+        let (k, n, fa) = (self.k, self.n, self.fa);
+        let k1 = fa.k1();
+        let blocks = blocks_of(k, fa);
+        let ring_rows = STRIP_M.min(rows);
+        ring.codes.clear();
+        ring.codes.resize(ring_rows * blocks * k1, C::ZERO);
+        ring.exps.clear();
+        ring.exps.resize(ring_rows * blocks, 0);
+        ring.uexp.clear();
+        ring.uexp.resize(ring_rows, 0);
+        let mut i0 = 0;
+        while i0 < rows {
+            let tm = ring_rows.min(rows - i0);
+            for t in 0..tm {
+                let row = &self.a[(r0 + i0 + t) * k..][..k];
+                let slot0 = t * blocks;
+                let mut seen: Option<i32> = None;
+                let mut mixed = false;
+                for kb in 0..blocks {
+                    let start = kb * k1;
+                    let blen = k1.min(k - start);
+                    // `lower_block_into` writes every slot of its block
+                    // (zeroing the ragged tail and all-zero blocks), so the
+                    // ring needs no per-strip clear.
+                    let e = engine::lower_block_into(
+                        fa,
+                        &row[start..start + blen],
+                        &mut ring.shifts,
+                        &mut ring.codes[(slot0 + kb) * k1..][..k1],
+                    );
+                    ring.exps[slot0 + kb] = e.unwrap_or(0);
+                    if let Some(e) = e {
+                        match seen {
+                            None => seen = Some(e),
+                            Some(u) if u != e => mixed = true,
+                            _ => {}
+                        }
                     }
                 }
+                ring.uexp[t] = if mixed { MIXED_EXP } else { seen.unwrap_or(0) };
             }
-            uexp[t] = if mixed { MIXED_EXP } else { seen.unwrap_or(0) };
+            let ap = PlaneView {
+                codes: &ring.codes,
+                exps: &ring.exps,
+                uexp: &ring.uexp,
+                blocks,
+                k1,
+            };
+            let part = &mut out[i0 * n..][..tm * n];
+            kernel(ap, tm, bp, n, self.c, self.ctx, part);
+            i0 += tm;
         }
-        let ap = PlaneView {
-            codes,
-            exps,
-            uexp,
-            blocks,
-            k1,
-        };
-        kernel(ap, 0, tm, bp, n, c, ctx, &mut out[i0 * n..][..tm * n]);
-        i0 += tm;
     }
 }
 
-/// Runs [`fused_span`] serially through the caller's scratch buffers, or
-/// row-parallel with small per-worker tile rings (each span's tile ring is
-/// at most [`FUSED_MAX_M`] rows — cheap next to the per-span output buffer
-/// the parallel dispatch already allocates). Spans are whole rows, so the output is
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)] // a GEMM is dims + operands + dispatch knobs
-fn fused_dispatch<C: Code>(
-    a: &[f32],
-    k: usize,
-    fa: &BdrFormat,
-    bp: PlaneView<'_, C>,
-    m: usize,
-    n: usize,
-    c: i32,
-    ctx: DeferCtx,
-    workers: usize,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-    out: &mut Vec<f32>,
-    kernel: SpanKernel<C>,
-) {
-    if workers <= 1 {
-        fused_span(
-            a, k, fa, bp, n, c, ctx, 0, m, codes, exps, uexp, shifts, out, kernel,
-        );
-    } else {
-        dispatch_rows(m, n, workers, out, |r0, rows, part| {
-            fused_span(
-                a,
-                k,
-                fa,
-                bp,
-                n,
-                c,
-                ctx,
-                r0,
-                rows,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut Vec::new(),
-                part,
-                kernel,
-            );
-        });
-    }
-}
-
-/// [`quantized_gemm_prepacked`] with the activation operand quantized
-/// **inside the execute loop** (pack-on-the-fly): each strip of up to
-/// [`FUSED_MAX_M`] rows of A is lowered into a scratch tile ring and consumed
-/// immediately by the integer kernels, so the A code plane is never
-/// materialized and the strip stays cache-hot between its `f32` and
-/// integer phases. This is the serving hot path for small `m` — the
-/// automatic dispatch in [`quantized_gemm_prepacked_scratch`] routes
-/// `m ≤` [`FUSED_MAX_M`] here.
+/// Quantized matrix product `A[m,k] × B[k,n]` against a **prepacked** B
+/// operand — the execute entry every caller runs. Only A is quantized,
+/// one row strip at a time *inside* the execute loop (pack-on-the-fly, see
+/// the module docs): each strip is lowered into `scratch`'s tile ring and
+/// consumed immediately by the integer kernels, so the A code plane is
+/// never materialized and a steady-state call allocates nothing for the
+/// activation side. Weights are static, so their [`PackedOperand`] is
+/// built once and reused across forward passes.
 ///
-/// Bit-identical to [`quantized_gemm_twopass_scratch`] (and therefore to
-/// [`quantized_gemm`] and [`reference_gemm`]) for every supported pairing,
-/// at every thread count: both paths run the same block plan, rounding
-/// rule, kernels, and accumulation order.
+/// `threads` follows [`quantized_gemm`]'s convention (`0` = all cores; the
+/// row split is whole rows, so the result is bit-identical regardless of
+/// thread count). Bit-identical to [`reference_gemm`] for every supported
+/// pairing.
 ///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
+/// Returns `None` when `packed_b` is not a [`Side::Cols`] plane, or the
+/// `(fa, packed_b.format())` pair is unsupported, or that pair needs a
+/// different code width than `packed_b` holds (it was packed for a partner
+/// in the other kernel class) — callers fall back to the dequantize path.
+/// The rejection does not depend on the shape: it holds at degenerate
+/// dims too.
 ///
 /// # Panics
 ///
@@ -683,101 +539,20 @@ fn fused_dispatch<C: Code>(
 ///
 /// ```
 /// use mx_core::bdr::BdrFormat;
-/// use mx_core::gemm::{
-///     quantized_gemm_fused, quantized_gemm_twopass_scratch, PackScratch, PackedOperand,
-/// };
+/// use mx_core::gemm::{quantized_gemm_prepacked_scratch, reference_gemm, PackScratch, PackedOperand};
 ///
 /// let fmt = BdrFormat::MX6;
 /// let b: Vec<f32> = (0..48 * 5).map(|i| (i as f32 * 0.11).cos()).collect();
 /// let pb = PackedOperand::pack_cols(&b, 48, 5, fmt, fmt).unwrap();
-/// let a: Vec<f32> = (0..2 * 48).map(|i| (i as f32 * 0.23).sin()).collect();
 /// let mut scratch = PackScratch::new();
-/// let fused = quantized_gemm_fused(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
-/// let two_pass = quantized_gemm_twopass_scratch(&a, 2, fmt, &pb, 1, &mut scratch).unwrap();
-/// // The strategies are bit-invisible: same plan, same rounding, same order.
-/// assert!(fused.iter().zip(&two_pass).all(|(x, y)| x.to_bits() == y.to_bits()));
+/// for m in [1, 33] {
+///     let a: Vec<f32> = (0..m * 48).map(|i| (i as f32 * 0.23).sin()).collect();
+///     let y = quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
+///     // Same plan, same rounding, same order as the dequantize reference.
+///     let want = reference_gemm(&a, &b, m, 48, 5, fmt, fmt);
+///     assert!(y.iter().zip(&want).all(|(x, w)| x.to_bits() == w.to_bits()));
+/// }
 /// ```
-pub fn quantized_gemm_fused(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-    scratch: &mut PackScratch,
-) -> Option<Vec<f32>> {
-    let (class, k, n, c) = a_side_gate(a, m, &fa, packed_b)?;
-    // Reject a plane holding the other kernel class's code width *before*
-    // the degenerate-dims early return, so the rejection conditions stay
-    // exactly those of the two-pass entry at every shape.
-    match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(_)) | (PairClass::Wide, Plane::Wide(_)) => {}
-        _ => return None,
-    }
-    let mut out = vec![0.0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return Some(out);
-    }
-    let workers = gemm_workers(m, n, k, threads);
-    let ctx = backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c);
-    match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(bpl)) => fused_dispatch(
-            a,
-            k,
-            &fa,
-            bpl.view(),
-            m,
-            n,
-            c,
-            ctx,
-            workers,
-            &mut scratch.narrow_codes,
-            &mut scratch.narrow_exps,
-            &mut scratch.uexp,
-            &mut scratch.shifts,
-            &mut out,
-            backend::narrow_span_kernel(packed_b.panel_n),
-        ),
-        (PairClass::Wide, Plane::Wide(bpl)) => fused_dispatch(
-            a,
-            k,
-            &fa,
-            bpl.view(),
-            m,
-            n,
-            c,
-            ctx,
-            workers,
-            &mut scratch.wide_codes,
-            &mut scratch.wide_exps,
-            &mut scratch.uexp,
-            &mut scratch.shifts,
-            &mut out,
-            backend::wide_span_kernel(),
-        ),
-        // `packed_b` was packed for a partner in the other kernel class;
-        // callers fall back rather than silently re-lowering B.
-        _ => return None,
-    }
-    Some(out)
-}
-
-/// [`quantized_gemm_prepacked`] with a caller-provided [`PackScratch`] —
-/// the **shape-aware dispatch point** between the two activation-lowering
-/// strategies (see the module docs): calls with `m ≤` [`FUSED_MAX_M`]
-/// activation rows take the fused pack-on-the-fly path
-/// ([`quantized_gemm_fused`]); larger calls take the two-pass prepack
-/// ([`quantized_gemm_twopass_scratch`]). The choice is bit-invisible —
-/// both strategies run the identical block plan, rounding rule, kernels,
-/// and accumulation order — so callers (`mx-nn`'s `quantized_matmul_ab`,
-/// and through it every layer and the `mx-serve` batch path) pick up the
-/// fused serving hot path with no call-site changes.
-///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
 pub fn quantized_gemm_prepacked_scratch(
     a: &[f32],
     m: usize,
@@ -786,129 +561,41 @@ pub fn quantized_gemm_prepacked_scratch(
     threads: usize,
     scratch: &mut PackScratch,
 ) -> Option<Vec<f32>> {
-    if m <= FUSED_MAX_M {
-        quantized_gemm_fused(a, m, fa, packed_b, threads, scratch)
-    } else {
-        quantized_gemm_twopass_scratch(a, m, fa, packed_b, threads, scratch)
-    }
-}
-
-/// The two-pass activation strategy: lowers **all** of A to a code plane in
-/// `scratch`'s buffers (no fresh allocations on the steady-state path),
-/// then executes the pure integer GEMM over the two planes. This was the
-/// only strategy before the fused path existed; it remains the dispatch
-/// choice for training-shaped calls (`m >` [`FUSED_MAX_M`]), where one
-/// long `f32` sweep over A streams better than per-tile phase
-/// interleaving. Bit-identical to [`quantized_gemm_fused`].
-///
-/// Returns `None` under exactly the same conditions as
-/// [`quantized_gemm_prepacked`].
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-pub fn quantized_gemm_twopass_scratch(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-    scratch: &mut PackScratch,
-) -> Option<Vec<f32>> {
-    let (class, k, _n, c) = a_side_gate(a, m, &fa, packed_b)?;
-    let views = match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(bp)) => {
-            let blocks = pack_into::<i16>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks_of(k, &fa) + kb,
-                &fa,
-                &mut scratch.narrow_codes,
-                &mut scratch.narrow_exps,
-                &mut scratch.uexp,
-                &mut scratch.shifts,
-            );
-            PairViews::Narrow(
-                PlaneView {
-                    codes: &scratch.narrow_codes,
-                    exps: &scratch.narrow_exps,
-                    uexp: &scratch.uexp,
-                    blocks,
-                    k1: fa.k1(),
-                },
-                bp.view(),
-            )
-        }
-        (PairClass::Wide, Plane::Wide(bp)) => {
-            let blocks = pack_into::<i32>(
-                a,
-                m,
-                k,
-                |i| i * k,
-                1,
-                |v, kb| v * blocks_of(k, &fa) + kb,
-                &fa,
-                &mut scratch.wide_codes,
-                &mut scratch.wide_exps,
-                &mut scratch.uexp,
-                &mut scratch.shifts,
-            );
-            PairViews::Wide(
-                PlaneView {
-                    codes: &scratch.wide_codes,
-                    exps: &scratch.wide_exps,
-                    uexp: &scratch.uexp,
-                    blocks,
-                    k1: fa.k1(),
-                },
-                bp.view(),
-            )
-        }
-        // `packed_b` was packed for a partner in the other kernel class;
-        // callers fall back rather than silently re-lowering B.
-        _ => return None,
-    };
-    let ctx = backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c);
-    execute(
-        views,
-        packed_b.panel_n,
-        class,
-        m,
-        packed_b.vectors,
-        k,
-        c,
-        ctx,
-        threads,
-    )
-}
-
-/// The admission gate both activation strategies share — the plane-side
-/// check, the [`pair_class`] format gate, the operand-shape assertion, and
-/// the execute geometry `(class, k, n, c)`. Keeping it in one place is
-/// what makes "fused and two-pass return `None` under exactly the same
-/// conditions" a structural fact rather than a convention (the remaining
-/// per-strategy rejection — a B plane holding the other kernel class's
-/// code width — lives in each entry's plane match).
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-fn a_side_gate(
-    a: &[f32],
-    m: usize,
-    fa: &BdrFormat,
-    packed_b: &PackedOperand,
-) -> Option<(PairClass, usize, usize, i32)> {
     if packed_b.side != Side::Cols {
         return None;
     }
-    let class = pair_class(fa, &packed_b.fmt)?;
-    let k = packed_b.len;
+    let class = pair_class(&fa, &packed_b.fmt)?;
+    let (k, n) = (packed_b.len, packed_b.vectors);
     assert_eq!(a.len(), m * k, "A is not {m}x{k}");
-    Some((class, k, packed_b.vectors, c_half(fa) + packed_b.c_half))
+    let c = c_half(&fa) + packed_b.c_half;
+    let gemm = FusedGemm {
+        a,
+        k,
+        n,
+        fa: &fa,
+        c,
+        ctx: backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c),
+    };
+    let workers = gemm_workers(m, n, k, threads);
+    match (class, &packed_b.plane) {
+        (PairClass::Narrow, Plane::Narrow(bp)) => Some(gemm.run(
+            m,
+            workers,
+            bp.view(),
+            &mut scratch.narrow,
+            backend::narrow_span_kernel(packed_b.panel_n),
+        )),
+        (PairClass::Wide, Plane::Wide(bp)) => Some(gemm.run(
+            m,
+            workers,
+            bp.view(),
+            &mut scratch.wide,
+            backend::wide_span_kernel(),
+        )),
+        // `packed_b` was packed for a partner in the other kernel class;
+        // callers fall back rather than silently re-lowering B.
+        _ => None,
+    }
 }
 
 /// Block count per vector of a `len`-long reduction in `fmt`.
@@ -916,47 +603,17 @@ fn blocks_of(len: usize, fmt: &BdrFormat) -> usize {
     len.div_ceil(fmt.k1())
 }
 
-/// Quantized matrix product `A[m,k] × B[k,n]` against a **prepacked** B
-/// operand: only A's rows are lowered to codes, B-side packing is skipped
-/// entirely. This is the inference steady-state entry point — weights are
-/// static, so their [`PackedOperand`] is built once and reused across
-/// forward passes. Routes through the shape-aware dispatch of
-/// [`quantized_gemm_prepacked_scratch`] (fused pack-on-the-fly at serving
-/// shapes, two-pass prepack otherwise; callers on a hot loop should use
-/// the scratch variant directly to also reuse the activation buffers).
-///
-/// Bit-identical to [`quantized_gemm`] (and therefore to
-/// [`reference_gemm`]) for every supported pairing.
-///
-/// Returns `None` when `packed_b` is not a [`Side::Cols`] plane, or the
-/// `(fa, packed_b.format())` pair is unsupported, or that pair needs a
-/// different code width than `packed_b` holds (it was packed for a partner
-/// in the other kernel class) — callers fall back to the dequantize path.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m · packed_b.k()`.
-pub fn quantized_gemm_prepacked(
-    a: &[f32],
-    m: usize,
-    fa: BdrFormat,
-    packed_b: &PackedOperand,
-    threads: usize,
-) -> Option<Vec<f32>> {
-    quantized_gemm_prepacked_scratch(a, m, fa, packed_b, threads, &mut PackScratch::new())
-}
-
 /// Quantized matrix product `A[m,k] × B[k,n]` computed entirely in the
 /// integer code domain (see the module docs for the datapath mapping).
 ///
-/// A thin wrapper over the prepack/execute split that packs **both** sides
-/// ad hoc: A's rows and B's columns are quantized to aligned integer codes
-/// once per call, then the GEMM runs over codes, row-tiled per backend
-/// and dispatched row-parallel across `threads` workers
-/// (`0` = all cores; the split is block-aligned, so the result is
+/// A thin wrapper over the prepack/execute split that packs B ad hoc:
+/// B's columns are quantized to aligned integer codes once per call, then
+/// [`quantized_gemm_prepacked_scratch`] quantizes A's rows inside the
+/// execute loop and dispatches row-parallel across `threads` workers
+/// (`0` = all cores; the split is whole rows, so the result is
 /// bit-identical regardless of thread count). Callers with a static B
 /// should pack it once with [`PackedOperand::pack_cols`] and call
-/// [`quantized_gemm_prepacked`] instead.
+/// [`quantized_gemm_prepacked_scratch`] instead.
 ///
 /// Returns `None` when [`code_domain_supported`] rejects the format pair —
 /// callers fall back to the dequantize path.
@@ -981,7 +638,7 @@ pub fn quantized_gemm(
     assert_eq!(a.len(), m * k, "A is not {m}x{k}");
     assert_eq!(b.len(), k * n, "B is not {k}x{n}");
     let pb = PackedOperand::pack_cols(b, k, n, fa, fb).expect("pair gated above");
-    quantized_gemm_prepacked(a, m, fa, &pb, threads)
+    quantized_gemm_prepacked_scratch(a, m, fa, &pb, threads, &mut PackScratch::new())
 }
 
 /// The quantize → dequantize → `f32` matmul reference the code-domain path
@@ -1056,6 +713,17 @@ mod tests {
         (0..n)
             .map(|i| ((i.wrapping_mul(37).wrapping_add(salt * 13) % 101) as f32 - 50.0) * 0.037)
             .collect()
+    }
+
+    /// The execute entry with a fresh scratch.
+    fn prepacked(
+        a: &[f32],
+        m: usize,
+        fa: BdrFormat,
+        pb: &PackedOperand,
+        threads: usize,
+    ) -> Option<Vec<f32>> {
+        quantized_gemm_prepacked_scratch(a, m, fa, pb, threads, &mut PackScratch::new())
     }
 
     /// A wide-but-supported custom format: `m + β = 16 > 15` forces the
@@ -1134,7 +802,7 @@ mod tests {
             let a = ramp(m * k, 21);
             let b = ramp(k * n, 22);
             let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-            let via_prepack = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
+            let via_prepack = prepacked(&a, m, fa, &pb, 1).unwrap();
             let ad_hoc = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
             assert!(
                 via_prepack
@@ -1144,7 +812,7 @@ mod tests {
                 "{fa}/{fb}"
             );
             // A prepacked B is reusable: a second call sees identical bits.
-            let again = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
+            let again = prepacked(&a, m, fa, &pb, 1).unwrap();
             assert_eq!(via_prepack, again);
         }
     }
@@ -1157,13 +825,25 @@ mod tests {
         let b = ramp(k * n, 32);
         let pa = PackedOperand::pack_rows(&a, m, k, fmt, fmt).unwrap();
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let got = quantized_gemm_packed(&pa, &pb, 1).unwrap();
+        let got = prepacked(&a, m, fmt, &pb, 1).unwrap();
         let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
         assert!(got
             .iter()
             .zip(want.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits()));
+        // `pack_rows` has no executor of its own, so pin it to the fused
+        // lowering: for `m ≤ STRIP_M` the serial tile ring holds the whole
+        // A side after the call, in the same vector-major layout.
+        let mut scratch = PackScratch::new();
+        quantized_gemm_prepacked_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
+        let Plane::Narrow(ref rows) = pa.plane else {
+            panic!("preset pair must pack narrow");
+        };
+        assert_eq!(rows.codes, scratch.narrow.codes);
+        assert_eq!(rows.exps, scratch.narrow.exps);
+        assert_eq!(rows.uexp, scratch.narrow.uexp);
         assert_eq!(pa.side(), Side::Rows);
+        assert_eq!((pa.k(), pa.vectors()), (k, m));
         assert_eq!(pb.side(), Side::Cols);
         assert_eq!((pb.k(), pb.vectors()), (k, n));
         assert_eq!(pb.format(), fmt);
@@ -1179,7 +859,7 @@ mod tests {
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
         assert!(matches!(pb.plane, Plane::Wide(_)));
         assert_eq!(pb.panel_n, 0);
-        let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
+        let got = prepacked(&a, m, fmt, &pb, 1).unwrap();
         let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
         assert!(got
             .iter()
@@ -1197,7 +877,7 @@ mod tests {
         let b = ramp(k * n, 62);
         let pb_for_mx6 =
             PackedOperand::pack_cols(&b, k, n, BdrFormat::MX6, BdrFormat::MX4).unwrap();
-        let got = quantized_gemm_prepacked(&a, m, BdrFormat::MX9, &pb_for_mx6, 1).unwrap();
+        let got = prepacked(&a, m, BdrFormat::MX9, &pb_for_mx6, 1).unwrap();
         let want = reference_gemm(&a, &b, m, k, n, BdrFormat::MX9, BdrFormat::MX4);
         assert!(got
             .iter()
@@ -1214,15 +894,10 @@ mod tests {
         let b = ramp(k * n, 52);
         // B packed for a narrow partner cannot execute against a wide A.
         let pb = PackedOperand::pack_cols(&b, k, n, narrow, narrow).unwrap();
-        assert!(quantized_gemm_prepacked(&a, m, wide, &pb, 1).is_none());
-        // Two Rows planes (or swapped sides) are not a valid pairing.
+        assert!(prepacked(&a, m, wide, &pb, 1).is_none());
+        // A Rows plane is not a valid B operand.
         let pa = PackedOperand::pack_rows(&a, m, k, narrow, narrow).unwrap();
-        assert!(quantized_gemm_packed(&pa, &pa, 1).is_none());
-        assert!(quantized_gemm_packed(&pb, &pa, 1).is_none());
-        // Mismatched reduction lengths are rejected.
-        let b2 = ramp(32 * n, 53);
-        let pb2 = PackedOperand::pack_cols(&b2, 32, n, narrow, narrow).unwrap();
-        assert!(quantized_gemm_packed(&pa, &pb2, 1).is_none());
+        assert!(prepacked(&a, m, narrow, &pa, 1).is_none());
     }
 
     #[test]
@@ -1245,7 +920,7 @@ mod tests {
             let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
             let with_scratch =
                 quantized_gemm_prepacked_scratch(&a, m, fa, &pb, 1, &mut scratch).unwrap();
-            let fresh = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
+            let fresh = prepacked(&a, m, fa, &pb, 1).unwrap();
             assert!(
                 with_scratch
                     .iter()
@@ -1305,15 +980,9 @@ mod tests {
         );
         // Degenerate dims through the prepacked entry points too.
         let pb = PackedOperand::pack_cols(&[], 0, 3, fmt, fmt).unwrap();
-        assert_eq!(
-            quantized_gemm_prepacked(&[], 2, fmt, &pb, 1).unwrap(),
-            vec![0.0; 6]
-        );
+        assert_eq!(prepacked(&[], 2, fmt, &pb, 1).unwrap(), vec![0.0; 6]);
         let pb = PackedOperand::pack_cols(&[], 16, 0, fmt, fmt).unwrap();
-        assert_eq!(
-            quantized_gemm_prepacked(&a, 1, fmt, &pb, 1).unwrap(),
-            vec![]
-        );
+        assert_eq!(prepacked(&a, 1, fmt, &pb, 1).unwrap(), vec![]);
     }
 
     #[test]
@@ -1343,7 +1012,7 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "threads={threads}"
             );
-            let pre = quantized_gemm_prepacked(&a, m, fmt, &pb, threads).unwrap();
+            let pre = prepacked(&a, m, fmt, &pb, threads).unwrap();
             assert!(
                 serial
                     .iter()
@@ -1396,7 +1065,6 @@ mod tests {
         let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
         for backend in [
             KernelBackend::Scalar,
-            KernelBackend::Sse2,
             KernelBackend::Avx2,
             KernelBackend::Avx512,
         ] {

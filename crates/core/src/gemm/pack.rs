@@ -1,5 +1,5 @@
 //! Operand lowering: code planes, the prepack entry points, and the
-//! reusable pack scratch.
+//! reusable scratch the fused activation strips lower into.
 //!
 //! Packing is the only stage of the integer GEMM that reads `f32` data.
 //! Every pack in this module lowers blocks through the engine's
@@ -56,8 +56,8 @@ impl<C> CodePlane<C> {
 }
 
 /// Borrowed view of a code plane — what the execute kernels actually
-/// consume. Owned [`CodePlane`]s (inside a [`PackedOperand`]) and
-/// [`PackScratch`]-backed ad-hoc planes both lower to this, so the kernels
+/// consume. Owned [`CodePlane`]s (inside a [`PackedOperand`]) and the
+/// [`PackScratch`]-backed fused strips both lower to this, so the kernels
 /// are oblivious to who owns the buffers.
 #[derive(Clone, Copy)]
 pub(super) struct PlaneView<'a, C> {
@@ -69,17 +69,14 @@ pub(super) struct PlaneView<'a, C> {
     pub(super) k1: usize,
 }
 
-/// Lowers `vectors` strided vectors of `len` elements to aligned codes,
-/// writing into caller-provided buffers (cleared and resized; capacity is
-/// reused across calls — the point of [`PackScratch`]). Vector `v` reads
-/// `data[base_of(v) + i·stride]` — rows use `(|i| i·len, 1)`, columns of a
-/// `[len, vectors]` matrix use `(|j| j, vectors)`. `slot_of(v, kb)` picks
-/// the storage layout: the generic kernels use vector-major
-/// `v·blocks + kb`, the panel kernels consume B packed panel-major (see
-/// [`PackedOperand::pack_cols`]). `uexp` receives one entry per vector
-/// (see [`MIXED_EXP`]). Returns the block count per vector.
-#[allow(clippy::too_many_arguments)] // operand geometry + layout + four buffers
-pub(super) fn pack_into<C: Code>(
+/// Lowers `vectors` strided vectors of `len` elements to an owned plane of
+/// aligned codes. Vector `v` reads `data[base_of(v) + i·stride]` — rows use
+/// `(|i| i·len, 1)`, columns of a `[len, vectors]` matrix use
+/// `(|j| j, vectors)`. `slot_of(v, kb)` picks the storage layout: the
+/// generic kernels use vector-major `v·blocks + kb`, the panel kernels
+/// consume B packed panel-major (see [`PackedOperand::pack_cols`]). The
+/// plane's `uexp` receives one entry per vector (see [`MIXED_EXP`]).
+fn pack<C: Code>(
     data: &[f32],
     vectors: usize,
     len: usize,
@@ -87,19 +84,13 @@ pub(super) fn pack_into<C: Code>(
     stride: usize,
     slot_of: impl Fn(usize, usize) -> usize,
     fmt: &BdrFormat,
-    codes: &mut Vec<C>,
-    exps: &mut Vec<i32>,
-    uexp: &mut Vec<i32>,
-    shifts: &mut Vec<u32>,
-) -> usize {
+) -> CodePlane<C> {
     let k1 = fmt.k1();
     let blocks = len.div_ceil(k1);
-    codes.clear();
-    codes.resize(vectors * blocks * k1, C::ZERO);
-    exps.clear();
-    exps.resize(vectors * blocks, 0);
-    uexp.clear();
-    uexp.resize(vectors, 0);
+    let mut codes = vec![C::ZERO; vectors * blocks * k1];
+    let mut exps = vec![0; vectors * blocks];
+    let mut uexp = vec![0; vectors];
+    let mut shifts = Vec::new();
     for (v, u) in uexp.iter_mut().enumerate() {
         let base = base_of(v);
         let mut seen: Option<i32> = None;
@@ -116,7 +107,7 @@ pub(super) fn pack_into<C: Code>(
                 base + start * stride,
                 stride,
                 blen,
-                shifts,
+                &mut shifts,
                 &mut codes[slot * k1..][..k1],
             ) {
                 exps[slot] = e;
@@ -129,7 +120,13 @@ pub(super) fn pack_into<C: Code>(
         }
         *u = if mixed { MIXED_EXP } else { seen.unwrap_or(0) };
     }
-    blocks
+    CodePlane {
+        codes,
+        exps,
+        uexp,
+        blocks,
+        k1,
+    }
 }
 
 /// Block-slot index of `(column v, block kb)` in a panel-major plane of
@@ -167,42 +164,6 @@ pub(super) fn panel_slot(
     }
 }
 
-/// [`pack_into`] into freshly allocated buffers, returning an owned plane.
-fn pack<C: Code>(
-    data: &[f32],
-    vectors: usize,
-    len: usize,
-    base_of: impl Fn(usize) -> usize,
-    stride: usize,
-    slot_of: impl Fn(usize, usize) -> usize,
-    fmt: &BdrFormat,
-) -> CodePlane<C> {
-    let mut codes = Vec::new();
-    let mut exps = Vec::new();
-    let mut uexp = Vec::new();
-    let mut shifts = Vec::new();
-    let blocks = pack_into(
-        data,
-        vectors,
-        len,
-        base_of,
-        stride,
-        slot_of,
-        fmt,
-        &mut codes,
-        &mut exps,
-        &mut uexp,
-        &mut shifts,
-    );
-    CodePlane {
-        codes,
-        exps,
-        uexp,
-        blocks,
-        k1: fmt.k1(),
-    }
-}
-
 /// The concrete code storage behind a [`PackedOperand`].
 #[derive(Clone)]
 pub(super) enum Plane {
@@ -225,14 +186,15 @@ pub(super) enum Plane {
 /// the same kernel class as the one it was packed for — e.g. a plane
 /// packed for an MX6 partner also serves MX9 activations, since every
 /// preset pair is narrow — and
-/// [`super::quantized_gemm_packed`] returns `None` (rather than silently
-/// re-lowering) when the executed pair needs a different code width than
-/// the plane holds.
+/// [`super::quantized_gemm_prepacked_scratch`] returns `None` (rather than
+/// silently re-lowering) when the executed pair needs a different code
+/// width than the plane holds.
 ///
-/// Packing is the only stage that reads `f32` data; executing a GEMM over
-/// two packed operands is pure integer work plus the scale-outs. Weights
-/// are static across inference steps, so `mx-nn` caches the weight-side
-/// plane and amortizes this cost to zero.
+/// The execute entry takes a [`Side::Cols`] plane as its B operand and
+/// quantizes A itself, strip by strip; a [`Side::Rows`] plane holds the
+/// same codes those strips lower (a standalone measure of the activation
+/// lowering cost). Weights are static across inference steps, so `mx-nn`
+/// caches the weight-side plane and amortizes its packing to zero.
 #[derive(Clone)]
 pub struct PackedOperand {
     pub(super) side: Side,
@@ -414,28 +376,19 @@ impl PackedOperand {
     }
 }
 
-/// Reusable buffers for ad-hoc A-side lowering, shared by both activation
-/// strategies: the **two-pass** path
-/// ([`super::quantized_gemm_twopass_scratch`]) lowers the whole activation
-/// plane into the code and exponent vectors, while the **fused** path
-/// ([`super::quantized_gemm_fused`]) reuses the same vectors as its
-/// tile ring, so a steady-state forward pass allocates nothing for the
-/// activation side whichever way the dispatch goes. Narrow and wide widths
-/// keep separate buffers, so one scratch serves interleaved format classes
-/// without reallocation churn.
+/// Reusable buffers for the fused activation lowering of
+/// [`super::quantized_gemm_prepacked_scratch`]: each call quantizes A one
+/// row strip at a time into a small tile ring held here, so a steady-state
+/// forward pass allocates nothing for the activation side. Narrow and wide
+/// code widths keep separate rings, so one scratch serves interleaved
+/// format classes without reallocation churn.
 ///
 /// A scratch is plain storage — it carries no format or shape state, so one
 /// instance can serve any sequence of GEMMs (`mx-nn` keeps one per thread).
 #[derive(Default)]
 pub struct PackScratch {
-    pub(super) narrow_codes: Vec<i16>,
-    pub(super) narrow_exps: Vec<i32>,
-    pub(super) wide_codes: Vec<i32>,
-    pub(super) wide_exps: Vec<i32>,
-    /// Per-vector uniform-exponent metadata (either width's plane).
-    pub(super) uexp: Vec<i32>,
-    /// Per-block microexponent shift workspace for the engine's planner.
-    pub(super) shifts: Vec<u32>,
+    pub(super) narrow: StripRing<i16>,
+    pub(super) wide: StripRing<i32>,
 }
 
 impl PackScratch {
@@ -443,5 +396,27 @@ impl PackScratch {
     /// afterwards.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// One code width's tile ring: a strip of activation rows lowered in the
+/// vector-major [`CodePlane`] layout, consumed as a [`PlaneView`].
+pub(super) struct StripRing<C> {
+    pub(super) codes: Vec<C>,
+    pub(super) exps: Vec<i32>,
+    /// Per-row uniform exponent or [`MIXED_EXP`].
+    pub(super) uexp: Vec<i32>,
+    /// Per-block microexponent shift workspace for the engine's planner.
+    pub(super) shifts: Vec<u32>,
+}
+
+impl<C> Default for StripRing<C> {
+    fn default() -> Self {
+        StripRing {
+            codes: Vec::new(),
+            exps: Vec::new(),
+            uexp: Vec::new(),
+            shifts: Vec::new(),
+        }
     }
 }

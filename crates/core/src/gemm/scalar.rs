@@ -1,41 +1,28 @@
 //! The portable span kernel — the reference backend every other backend is
 //! bit-identical to, and the only one off x86-64.
 //!
-//! One generic implementation serves both code widths and both dot flavors:
-//! the `SIMD` const parameter picks between [`super::Code::dot`] (which may
-//! use baseline-ISA intrinsics — the SSE2 backend is exactly this kernel
-//! with the `pmaddwd` dot) and [`super::Code::dot_scalar`] (pure Rust), so
-//! the scalar and SSE2 tiers share one traversal and differ only in the
-//! block-dot instruction. Deferred scale-out (see
-//! [`super::backend::defer_ctx`]) is applied per output element whenever
-//! the element's exponent metadata qualifies, with the per-block scale-out
-//! chain as the exact fallback.
+//! One generic implementation serves both code widths through the
+//! portable [`super::Code::dot`] block dot: the narrow (`i16`) pairs of
+//! the forced `scalar` backend and of vector-major planes, and the wide
+//! (`i32`) pairs of exotic custom formats on every backend. Deferred
+//! scale-out (see [`super::backend::defer_ctx`]) is applied per output
+//! element whenever the element's exponent metadata qualifies, with the
+//! per-block scale-out chain as the exact fallback.
 
 use super::pack::{PlaneView, MIXED_EXP};
 use super::{Code, DeferCtx, TILE_M};
 use crate::util::pow2;
 
-#[inline(always)]
-fn dot<C: Code, const SIMD: bool>(a: &[C], b: &[C]) -> i64 {
-    if SIMD {
-        C::dot(a, b)
-    } else {
-        C::dot_scalar(a, b)
-    }
-}
-
-/// Computes output rows `r0 .. r0 + rows` into `out` (a `rows × n` slice,
-/// written from offset 0): per output element, either one deferred
+/// Computes the output rows of the A plane's first `rows` rows into `out`
+/// (a `rows × n` slice): per output element, either one deferred
 /// integer accumulation with a single scale-out (when the element's
 /// row/column exponent metadata passes the [`DeferCtx`] checks) or the
 /// per-block `f32` scale-out chain. Rows are processed [`TILE_M`] at a
 /// time so each loaded B column (and its exponents) is reused for the
 /// whole tile; per output element the K loop walks two contiguous code
 /// arrays.
-#[allow(clippy::too_many_arguments)] // the SpanKernel signature: dims + operands + dispatch context
-pub(super) fn gemm_span<C: Code, const SIMD: bool>(
+pub(super) fn gemm_span<C: Code>(
     ap: PlaneView<'_, C>,
-    r0: usize,
     rows: usize,
     bp: PlaneView<'_, C>,
     n: usize,
@@ -54,7 +41,7 @@ pub(super) fn gemm_span<C: Code, const SIMD: bool>(
             let bexps = &bp.exps[j * blocks..][..blocks];
             let bu = bp.uexp[j];
             for t in 0..tm {
-                let row = r0 + i0 + t;
+                let row = i0 + t;
                 let arow = &ap.codes[row * kcodes..][..kcodes];
                 let aexps = &ap.exps[row * blocks..][..blocks];
                 let au = ap.uexp[row];
@@ -66,7 +53,7 @@ pub(super) fn gemm_span<C: Code, const SIMD: bool>(
                         // the whole K reduction, one f32 rounding.
                         let mut total = 0i64;
                         for (ab, bb) in arow.chunks_exact(k1).zip(bcol.chunks_exact(k1)) {
-                            total += dot::<C, SIMD>(ab, bb);
+                            total += C::dot(ab, bb);
                         }
                         *slot = (total as f64 * pow2(e + c)) as f32;
                         continue;
@@ -78,7 +65,7 @@ pub(super) fn gemm_span<C: Code, const SIMD: bool>(
                     .zip(bcol.chunks_exact(k1))
                     .zip(aexps.iter().zip(bexps.iter()))
                 {
-                    let d = dot::<C, SIMD>(ab, bb);
+                    let d = C::dot(ab, bb);
                     if d != 0 {
                         acc += (d as f64 * pow2(ea + eb + c)) as f32;
                     }

@@ -21,15 +21,7 @@
 pub const KNOBS: &[(&str, &str)] = &[
     (
         "MX_KERNEL_BACKEND",
-        "force the quantized-GEMM kernel backend: auto | scalar | sse2 | avx2 | avx512 (can only narrow the ISA, never fake one)",
-    ),
-    (
-        "MX_KERNEL_DEFER",
-        "0 / off / false disables deferred scale-out (bit-identical either way; isolates the deferral speedup)",
-    ),
-    (
-        "MX_KERNEL_VNNI",
-        "0 / off / false selects the vpmaddwd+vpaddd fallback inside the AVX-512 kernel (bit-identical either way; isolates the VNNI speedup)",
+        "force the quantized-GEMM kernel backend: auto | scalar | avx2 | avx512 (can only narrow the ISA, never fake one)",
     ),
     (
         "MX_BENCH_THREADS",

@@ -15,13 +15,11 @@
 //! product runs on `mx_core::gemm`'s prepack/execute split: the right
 //! (weight) operand must be lowered to a shift-aligned integer code plane
 //! ([`mx_core::gemm::PackedOperand`]) before the integer GEMM executes.
-//! The left (activation) operand goes through the gemm module's
-//! shape-aware dispatch (`quantized_gemm_prepacked_scratch`): at serving
-//! shapes (`m ≤ FUSED_MAX_M` rows) it is quantized per row tile *inside*
-//! the execute loop (pack-on-the-fly), at training shapes it is lowered in
-//! one two-pass sweep — bit-identical either way, so every layer and the
-//! `mx-serve` batch path picked the fused hot path up with no call-site
-//! changes.
+//! The left (activation) operand goes through the gemm module's execute
+//! entry (`quantized_gemm_prepacked_scratch`), which quantizes it per row
+//! strip *inside* the execute loop (pack-on-the-fly) at every shape, so
+//! every layer, training, and the `mx-serve` batch path share one
+//! activation path with no call-site changes.
 //! That lowering is cached **on the weight tensor itself**, keyed by the
 //! weight format (the codes depend only on it, so one plane serves every
 //! activation format in the same kernel class), and attention, linear,
@@ -214,8 +212,7 @@ pub fn quantized_matmul(a: &Tensor, b: &Tensor, format: TensorFormat) -> Tensor 
 /// prepack/execute split: `b`'s shift-aligned code plane is fetched from
 /// the tensor's generation-keyed cache (packed on a miss — see the module
 /// docs for the invalidation contract), `a`'s rows are lowered fresh —
-/// fused into the execute loop per row tile at serving shapes, two-pass at
-/// training shapes (the gemm module's shape-aware dispatch) — and
+/// fused into the execute loop one row strip at a time — and
 /// every K-block dot product is computed in integer arithmetic with a
 /// single `f32` scale-out per block pair — bit-identical to the dequantize
 /// reference with blocked accumulation (and exactly equal to the naive

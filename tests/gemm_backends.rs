@@ -1,5 +1,5 @@
-//! Forced-backend bit-identity suite: every kernel backend (scalar, SSE2,
-//! AVX2, AVX-512 where the CPU has them) must reproduce the quantize →
+//! Forced-backend bit-identity suite: every kernel backend (scalar, and
+//! AVX2 / AVX-512 where the CPU has them) must reproduce the quantize →
 //! dequantize → `f32` matmul reference **bit for bit** over the full
 //! preset matrix, ragged K tails (including every AVX-512 mask-tail
 //! shape), every serving-relevant M, and every thread count — and
@@ -18,9 +18,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    force_deferred_scale_out, force_kernel_backend, quantized_gemm, quantized_gemm_fused,
-    quantized_gemm_prepacked, quantized_gemm_twopass_scratch, reference_gemm, selected_backend,
-    KernelBackend, PackScratch, PackedOperand,
+    force_deferred_scale_out, force_kernel_backend, quantized_gemm,
+    quantized_gemm_prepacked_scratch, reference_gemm, selected_backend, KernelBackend, PackScratch,
+    PackedOperand,
 };
 
 const PRESETS: [BdrFormat; 5] = [
@@ -31,9 +31,8 @@ const PRESETS: [BdrFormat; 5] = [
     BdrFormat::MSFP16,
 ];
 
-const BACKENDS: [KernelBackend; 4] = [
+const BACKENDS: [KernelBackend; 3] = [
     KernelBackend::Scalar,
-    KernelBackend::Sse2,
     KernelBackend::Avx2,
     KernelBackend::Avx512,
 ];
@@ -125,6 +124,11 @@ fn exponent_spread_vector(n: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The prepacked execute entry with a fresh scratch.
+fn prepacked(a: &[f32], m: usize, fmt: BdrFormat, pb: &PackedOperand, threads: usize) -> Vec<f32> {
+    quantized_gemm_prepacked_scratch(a, m, fmt, pb, threads, &mut PackScratch::new()).unwrap()
+}
+
 fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length");
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -138,7 +142,7 @@ fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
 }
 
 /// Every backend × the full preset matrix × ragged K × all serving Ms
-/// (both sides of the `FUSED_MAX_M` boundary and the tile boundary)
+/// (both sides of the fused strip boundary and the tile boundary)
 /// reproduces the reference bit for bit. Packing happens after forcing, so
 /// each backend also exercises its own B-plane layout.
 #[test]
@@ -169,7 +173,7 @@ fn forced_backend_matrix_is_bit_identical_to_reference() {
 }
 
 /// Forced backends stay bit-identical under row-parallel dispatch at every
-/// thread count, through the prepacked and fused entries alike.
+/// thread count, through the prepacked entry.
 #[test]
 fn forced_backends_are_thread_count_invariant() {
     let _guard = lock_knobs();
@@ -185,7 +189,7 @@ fn forced_backends_are_thread_count_invariant() {
             let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
             let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
             for threads in [1usize, 2, 3, 7, 0] {
-                let got = quantized_gemm_prepacked(&a, m, fmt, &pb, threads).unwrap();
+                let got = prepacked(&a, m, fmt, &pb, threads);
                 assert_bits_eq(
                     &got,
                     &want,
@@ -216,7 +220,7 @@ fn planes_packed_under_one_backend_execute_under_another() {
             if !try_force(runner) {
                 continue;
             }
-            let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
+            let got = prepacked(&a, m, fmt, &pb, 1);
             assert_bits_eq(
                 &got,
                 &want,
@@ -302,34 +306,57 @@ fn headroom_exceeded_pairs_fall_back_exactly() {
     }
 }
 
-/// The fused and two-pass activation strategies agree bit for bit under
-/// every forced backend (the strategy seam and the backend seam are
-/// independent).
+/// The fused entry reproduces the reference bit for bit under every
+/// forced backend × deferral on/off × thread count, for every preset pair,
+/// the wide `i32` pair, and the `k1 = 32` vector-major pair, at M = 1 and
+/// at row counts on both sides of the strip boundary and past it
+/// (`K = 80` is an odd block count at `k1 = 16` and ragged at `k1 = 32`;
+/// `N = 33` leaves a ragged panel at both panel widths). The activations
+/// cycle through the exponent spreads so deferral both fires and falls
+/// back.
 #[test]
-fn fused_and_two_pass_agree_under_forced_backends() {
+fn fused_matches_reference_under_every_backend_deferral_and_thread_count() {
     let _guard = lock_knobs();
-    let fmt = BdrFormat::MX6;
-    let (m, k, n) = (9, 80, 11);
-    let a = exponent_spread_vector(m * k, 10);
-    let b = exponent_spread_vector(k * n, 11);
-    for backend in BACKENDS {
-        if !try_force(backend) {
-            continue;
+    let (k, n) = (80, 33);
+    let wide = BdrFormat::new(16, 8, 0, 16, 16).unwrap();
+    let k32 = BdrFormat::new(4, 8, 1, 32, 2).unwrap();
+    let mut pairs: Vec<(BdrFormat, BdrFormat)> = Vec::new();
+    for fa in PRESETS {
+        for fb in PRESETS {
+            pairs.push((fa, fb));
         }
-        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let mut scratch = PackScratch::new();
-        let fused = quantized_gemm_fused(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
-        let two_pass = quantized_gemm_twopass_scratch(&a, m, fmt, &pb, 1, &mut scratch).unwrap();
-        assert_bits_eq(
-            &fused,
-            &two_pass,
-            &format!("{} fused vs two-pass", backend.name()),
-        );
-        assert_bits_eq(
-            &fused,
-            &reference_gemm(&a, &b, m, k, n, fmt, fmt),
-            &format!("{} fused vs reference", backend.name()),
-        );
+    }
+    pairs.extend([(wide, wide), (k32, k32)]);
+    let b = exponent_spread_vector(k * n, 0);
+    for (idx, m) in [1usize, 32, 33, 64, 129].into_iter().enumerate() {
+        let a = exponent_spread_vector(m * k, idx);
+        for &(fa, fb) in &pairs {
+            let want = reference_gemm(&a, &b, m, k, n, fa, fb);
+            for backend in BACKENDS {
+                if !try_force(backend) {
+                    continue;
+                }
+                let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
+                let mut scratch = PackScratch::new();
+                for defer in [true, false] {
+                    force_deferred_scale_out(Some(defer));
+                    for threads in [1usize, 2, 3, 7, 0] {
+                        let got =
+                            quantized_gemm_prepacked_scratch(&a, m, fa, &pb, threads, &mut scratch)
+                                .unwrap();
+                        assert_bits_eq(
+                            &got,
+                            &want,
+                            &format!(
+                                "{} {fa}/{fb} m={m} defer={defer} threads={threads}",
+                                backend.name()
+                            ),
+                        );
+                    }
+                }
+                force_deferred_scale_out(None);
+            }
+        }
     }
 }
 

@@ -3,18 +3,30 @@
 //! degenerate 1×N / M×1 edges — the integer path must be **bit-identical**
 //! to the quantize → dequantize → `f32` matmul reference, through both the
 //! ad-hoc (`quantized_gemm`) and prepack/execute
-//! (`PackedOperand` + `quantized_gemm_prepacked`) entry points, and the
+//! (`PackedOperand` + `quantized_gemm_prepacked_scratch`) entry points, and the
 //! nn-layer `quantized_matmul` must route through it without call-site
 //! changes. The blocked FP32 `matmul` is held to the same standard against
 //! the seed's naive triple loop.
 
 use mx::core::bdr::BdrFormat;
 use mx::core::gemm::{
-    code_domain_supported, quantized_gemm, quantized_gemm_prepacked, reference_gemm, PackedOperand,
+    code_domain_supported, quantized_gemm, quantized_gemm_prepacked_scratch, reference_gemm,
+    PackScratch, PackedOperand,
 };
 use mx::nn::format::TensorFormat;
 use mx::nn::qflow::quantized_matmul_ab;
 use mx::nn::tensor::Tensor;
+
+/// The prepacked execute entry with a fresh scratch.
+fn prepacked(
+    a: &[f32],
+    m: usize,
+    fa: BdrFormat,
+    pb: &PackedOperand,
+    threads: usize,
+) -> Option<Vec<f32>> {
+    quantized_gemm_prepacked_scratch(a, m, fa, pb, threads, &mut PackScratch::new())
+}
 
 const FORMATS: [BdrFormat; 4] = [
     BdrFormat::MX4,
@@ -208,7 +220,7 @@ fn prepacked_execute_matches_ad_hoc_and_reference() {
                 for pass in 0..2 {
                     // Fresh activations per pass, same plane.
                     let a = stress_vector(m * k, m + k + pass);
-                    let pre = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
+                    let pre = prepacked(&a, m, fa, &pb, 1).unwrap();
                     let ad_hoc = quantized_gemm(&a, &b, m, k, n, fa, fb, 1).unwrap();
                     let want = reference_gemm(&a, &b, m, k, n, fa, fb);
                     let ctx = format!("{fa}x{fb} {m}x{k}x{n} pass={pass}");
@@ -229,14 +241,14 @@ fn prepacked_parallel_is_bit_identical() {
     let a = stress_vector(m * k, 61);
     let b = stress_vector(k * n, 63);
     let pb = PackedOperand::pack_cols(&b, k, n, fa, fb).unwrap();
-    let serial = quantized_gemm_prepacked(&a, m, fa, &pb, 1).unwrap();
+    let serial = prepacked(&a, m, fa, &pb, 1).unwrap();
     assert_bits_eq(
         &serial,
         &reference_gemm(&a, &b, m, k, n, fa, fb),
         "serial vs reference",
     );
     for threads in [2usize, 3, 5, 8, 0] {
-        let par = quantized_gemm_prepacked(&a, m, fa, &pb, threads).unwrap();
+        let par = prepacked(&a, m, fa, &pb, threads).unwrap();
         assert_bits_eq(&par, &serial, &format!("threads={threads}"));
     }
 }
@@ -252,7 +264,7 @@ fn prepacked_generic_kernels_match_reference() {
         let a = stress_vector(m * k, 71);
         let b = stress_vector(k * n, 73);
         let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
-        let got = quantized_gemm_prepacked(&a, m, fmt, &pb, 1).unwrap();
+        let got = prepacked(&a, m, fmt, &pb, 1).unwrap();
         let want = reference_gemm(&a, &b, m, k, n, fmt, fmt);
         assert_bits_eq(&got, &want, &format!("{fmt}"));
     }
