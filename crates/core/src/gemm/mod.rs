@@ -524,12 +524,12 @@ impl FusedGemm<'_> {
 /// thread count). Bit-identical to [`reference_gemm`] for every supported
 /// pairing.
 ///
-/// Returns `None` when `packed_b` is not a [`Side::Cols`] plane, or the
-/// `(fa, packed_b.format())` pair is unsupported, or that pair needs a
-/// different code width than `packed_b` holds (it was packed for a partner
-/// in the other kernel class) — callers fall back to the dequantize path.
-/// The rejection does not depend on the shape: it holds at degenerate
-/// dims too.
+/// Returns `None` exactly when `packed_b` does not
+/// [`accept`](PackedOperand::accepts) `fa`: it is not a [`Side::Cols`]
+/// plane, the `(fa, packed_b.format())` pair is unsupported, or that pair
+/// needs a different code width than `packed_b` holds (it was packed for a
+/// partner in the other kernel class). The rejection does not depend on
+/// the shape: it holds at degenerate dims too.
 ///
 /// # Panics
 ///
@@ -561,10 +561,9 @@ pub fn quantized_gemm_prepacked_scratch(
     threads: usize,
     scratch: &mut PackScratch,
 ) -> Option<Vec<f32>> {
-    if packed_b.side != Side::Cols {
+    if !packed_b.accepts(&fa) {
         return None;
     }
-    let class = pair_class(&fa, &packed_b.fmt)?;
     let (k, n) = (packed_b.len, packed_b.vectors);
     assert_eq!(a.len(), m * k, "A is not {m}x{k}");
     let c = c_half(&fa) + packed_b.c_half;
@@ -577,25 +576,22 @@ pub fn quantized_gemm_prepacked_scratch(
         ctx: backend::defer_ctx(&fa, &packed_b.fmt, blocks_of(k, &fa), c),
     };
     let workers = gemm_workers(m, n, k, threads);
-    match (class, &packed_b.plane) {
-        (PairClass::Narrow, Plane::Narrow(bp)) => Some(gemm.run(
+    Some(match &packed_b.plane {
+        Plane::Narrow(bp) => gemm.run(
             m,
             workers,
             bp.view(),
             &mut scratch.narrow,
             backend::narrow_span_kernel(packed_b.panel_n),
-        )),
-        (PairClass::Wide, Plane::Wide(bp)) => Some(gemm.run(
+        ),
+        Plane::Wide(bp) => gemm.run(
             m,
             workers,
             bp.view(),
             &mut scratch.wide,
             backend::wide_span_kernel(),
-        )),
-        // `packed_b` was packed for a partner in the other kernel class;
-        // callers fall back rather than silently re-lowering B.
-        _ => None,
-    }
+        ),
+    })
 }
 
 /// Block count per vector of a `len`-long reduction in `fmt`.

@@ -352,6 +352,20 @@ impl PackedOperand {
         self.fmt
     }
 
+    /// Whether `fa`-format activations can execute against this plane: it
+    /// is a [`Side::Cols`] plane and the `(fa, format())` pair needs the
+    /// code width it holds. A plane packed for a partner in the other
+    /// kernel class answers `false`, exactly when
+    /// [`super::quantized_gemm_prepacked_scratch`] would return `None`.
+    pub fn accepts(&self, fa: &BdrFormat) -> bool {
+        self.side == Side::Cols
+            && matches!(
+                (pair_class(fa, &self.fmt), &self.plane),
+                (Some(PairClass::Narrow), Plane::Narrow(_))
+                    | (Some(PairClass::Wide), Plane::Wide(_))
+            )
+    }
+
     /// Reduction-dimension length `K`.
     pub fn k(&self) -> usize {
         self.len

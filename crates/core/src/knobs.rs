@@ -39,10 +39,6 @@ pub const KNOBS: &[(&str, &str)] = &[
         "MX_SERVE_SHARDS",
         "default registry shard count for the serve_loadgen simulator (each shard owns a queue, dispatcher, and worker pool)",
     ),
-    (
-        "MX_PLAN",
-        "0 / off / false disables compiled execution plans in mx-serve (bit-identical either way; isolates the plan-cache speedup)",
-    ),
 ];
 
 /// Reads a declared knob from the environment, `None` when unset or not

@@ -80,12 +80,12 @@ impl BertQa {
         let mut p = Planner::new();
         p.embed_stage(&self.tok_emb, &self.pos_emb, rows, t)?;
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, batch, t);
         }
         let mut s = Stage::new(rows * d, rows * 2);
         let normed = s.alloc(rows * d);
         s.norm(&self.ln, Loc::In, normed, rows);
-        s.gemm(&self.span_head, normed, Loc::Out, rows, cfg, None)?;
+        s.gemm(&self.span_head, normed, Loc::Out, rows, cfg, None);
         p.push_stage(s);
         p.finish()
     }

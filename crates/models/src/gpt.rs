@@ -301,12 +301,12 @@ impl Gpt {
         let mut p = Planner::new();
         p.embed_stage(&self.tok_emb, &self.pos_emb, rows, t)?;
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, batch, t);
         }
         let mut s = Stage::new(rows * d, rows * self.config.vocab);
         let normed = s.alloc(rows * d);
         s.norm(&self.ln_f, Loc::In, normed, rows);
-        s.gemm(&self.head, normed, Loc::Out, rows, cfg, None)?;
+        s.gemm(&self.head, normed, Loc::Out, rows, cfg, None);
         p.push_stage(s);
         p.finish()
     }

@@ -71,10 +71,10 @@ impl TinyViT {
         let mut s = Stage::new(pixels, rows * d);
         let patches = s.alloc(rows * PATCH * PATCH);
         s.patchify(Loc::In, patches, batch, IMAGE_SIDE, PATCH);
-        s.gemm(&self.patch_embed, patches, Loc::Out, rows, cfg, None)?;
+        s.gemm(&self.patch_embed, patches, Loc::Out, rows, cfg, None);
         p.push_stage(s);
         for blk in &self.blocks {
-            p.transformer_block_stage(blk, cfg, batch, t)?;
+            p.transformer_block_stage(blk, cfg, batch, t);
         }
         let mut s = Stage::new(rows * d, batch * SHAPE_CLASSES);
         let normed = s.alloc(rows * d);
@@ -82,7 +82,7 @@ impl TinyViT {
         let pooled = s.alloc(batch * d);
         s.mean_pool(normed, pooled, batch, t, d);
         s.free(normed, rows * d);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None);
         p.push_stage(s);
         p.finish()
     }
@@ -227,14 +227,14 @@ impl TinyResNet {
         let mut p = Planner::new();
         p.pixels_input(batch * hw);
         let mut s = Stage::new(batch * hw, feat);
-        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true);
         p.push_stage(s);
         for (c1, c2) in &self.blocks {
             let mut s = Stage::new(feat, feat);
             let a1 = s.alloc(feat);
-            s.conv(c1, Loc::In, a1, batch, side, side, cfg, true)?;
+            s.conv(c1, Loc::In, a1, batch, side, side, cfg, true);
             let a2 = s.alloc(feat);
-            s.conv(c2, a1, a2, batch, side, side, cfg, false)?;
+            s.conv(c2, a1, a2, batch, side, side, cfg, false);
             s.free(a1, feat);
             s.add(Loc::In, a2, Loc::Out, feat, true);
             p.push_stage(s);
@@ -242,7 +242,7 @@ impl TinyResNet {
         let mut s = Stage::new(feat, batch * SHAPE_CLASSES);
         let pooled = s.alloc(batch * ch);
         s.avg_pool(Loc::In, pooled, batch * ch, hw);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None);
         p.push_stage(s);
         p.finish()
     }
@@ -348,17 +348,17 @@ impl TinyMobileNet {
         let mut p = Planner::new();
         p.pixels_input(batch * hw);
         let mut s = Stage::new(batch * hw, feat);
-        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+        s.conv(&self.stem, Loc::In, Loc::Out, batch, side, side, cfg, true);
         p.push_stage(s);
         for c in &self.pointwise {
             let mut s = Stage::new(feat, feat);
-            s.conv(c, Loc::In, Loc::Out, batch, side, side, cfg, true)?;
+            s.conv(c, Loc::In, Loc::Out, batch, side, side, cfg, true);
             p.push_stage(s);
         }
         let mut s = Stage::new(feat, batch * SHAPE_CLASSES);
         let pooled = s.alloc(batch * ch);
         s.avg_pool(Loc::In, pooled, batch * ch, hw);
-        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None)?;
+        s.gemm(&self.head, pooled, Loc::Out, batch, cfg, None);
         p.push_stage(s);
         p.finish()
     }

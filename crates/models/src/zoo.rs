@@ -2,23 +2,25 @@
 //!
 //! Every servable model implements [`BatchModel`]: a per-request
 //! input/output length contract (fixed, or variable up to a native maximum
-//! for sequence models), a direct-cast [`BatchModel::set_quant`] switch, and
-//! one [`BatchModel::forward_batch`] call that runs `batch` concatenated
-//! requests in a single forward pass. The contract that makes batching
-//! useful for serving is **row independence**: every tensor op in the zoo's
-//! inference path (quantized GEMMs, layer norm, softmax, per-sequence
-//! attention, per-image convolution) computes each request's outputs from
-//! that request's inputs alone, so a coalesced batch is *bit-identical* to
-//! running the requests one at a time — batching is semantically invisible
-//! and purely a throughput lever (the weight-side code planes and the
-//! per-call A-side packing are amortized across the whole batch).
-//! `mx-serve` builds its batcher on exactly this guarantee, and the
-//! workspace's `serve_end_to_end` suite asserts it bit for bit.
+//! for sequence models), a direct-cast [`BatchModel::set_quant`] switch,
+//! [`BatchModel::compile_plan`] (the [`CompiledPlan`] `mx-serve` executes),
+//! and [`BatchModel::forward_batch`], the dynamic layer-walk — the training
+//! path and the oracle every plan is tested against bit for bit.
+//!
+//! The contract that makes batching useful for serving is **row
+//! independence**: under every [`QuantConfig::batch_invariant`] config,
+//! every tensor op in the zoo's inference path (quantized GEMMs, layer
+//! norm, softmax, per-sequence attention, per-image convolution) computes
+//! each request's outputs from that request's inputs alone, so a coalesced
+//! batch is *bit-identical* to running the requests one at a time and
+//! batching is purely a throughput lever. Per-tensor-scaled activations
+//! break it (one amax spans the batch), so `mx-serve` runs such configs one
+//! request per batch. The `serve_end_to_end` suite asserts both.
 //!
 //! Models are intentionally *inference-only* through this interface
 //! (`train = false` internally): no activation caches are retained, so a
-//! served model's memory footprint is its weights plus the cached weight
-//! planes.
+//! served model's memory footprint is its weights plus the cached lowered
+//! weights.
 
 use crate::bert::BertQa;
 use crate::data::{IMAGE_SIDE, SHAPE_CLASSES};
@@ -122,9 +124,12 @@ pub trait BatchModel: Send {
 
     /// Runs `batch` concatenated requests of one uniform per-request
     /// length `len = input.len() / batch` (`len == input_len()` unless
-    /// [`BatchModel::variable_len`]), returning `batch · output_len(len)`
-    /// floats, request-major. Output row `i` is bit-identical to running
-    /// request `i` alone with `batch = 1` at the same length.
+    /// [`BatchModel::variable_len`]) through the dynamic layer-walk,
+    /// returning `batch · output_len(len)` floats, request-major. When the
+    /// current config is [`QuantConfig::batch_invariant`], output row `i`
+    /// is bit-identical to running request `i` alone with `batch = 1` at
+    /// the same length. This is the training path and the oracle compiled
+    /// plans are tested against; `mx-serve` never calls it.
     ///
     /// # Panics
     ///
@@ -132,29 +137,25 @@ pub trait BatchModel: Send {
     fn forward_batch(&mut self, input: ZooInput<'_>, batch: usize) -> Vec<f32>;
 
     /// Lowers this model's inference forward into a [`CompiledPlan`] for a
-    /// `(cfg, batch, len)` bucket, with all weight prepacking, format
-    /// gating, and scratch layout done at compile time. `len` is the
-    /// per-request input length (always `input_len()` for fixed-length
-    /// models). The plan's output is bit-identical to
-    /// [`BatchModel::forward_batch`] after `set_quant(cfg)` — until a
-    /// weight mutation changes [`BatchModel::plan_token`]. The default is
-    /// a typed refusal so unplannable models fall back to the dynamic
-    /// path.
+    /// `(cfg, batch, len)` bucket, with all weight lowering and scratch
+    /// layout done at compile time. `len` is the per-request input length
+    /// (always `input_len()` for fixed-length models). The plan's output is
+    /// bit-identical to [`BatchModel::forward_batch`] after
+    /// `set_quant(cfg)` — until a weight mutation changes
+    /// [`BatchModel::plan_token`]. This is the only way `mx-serve` runs a
+    /// model: an error here is answered to every request of the batch.
     fn compile_plan(
         &self,
-        _cfg: QuantConfig,
-        _batch: usize,
-        _len: usize,
-    ) -> Result<CompiledPlan, PlanError> {
-        Err(PlanError::Unsupported("no plan lowering for this model"))
-    }
+        cfg: QuantConfig,
+        batch: usize,
+        len: usize,
+    ) -> Result<CompiledPlan, PlanError>;
 
     /// Weight-staleness token: changes whenever any parameter tensor is
     /// mutated (optimizer step, in-place edit). Plan caches key their
-    /// entries on this to invalidate stale plans.
-    fn plan_token(&mut self) -> u64 {
-        0
-    }
+    /// entries on this to invalidate stale plans. `mx-serve` reads it once
+    /// per batch, under the model's lock, before the plan lookup.
+    fn plan_token(&mut self) -> u64;
 }
 
 /// Validates a payload against the model's contract, returning the pixels.
@@ -330,7 +331,7 @@ impl_batch_model_for_classifier!(TinyViT, TinyResNet, TinyMobileNet);
 /// A single quantized dense layer `[d_in → d_out]` — the GEMM-shaped
 /// serving model. Each request is one feature row, so a coalesced batch is
 /// exactly one `[batch, d_in] × [d_in, d_out]` quantized product over the
-/// shared prepacked weight plane; the `serving_throughput` bench uses it to
+/// shared lowered weights; the `serving_throughput` bench uses it to
 /// isolate the batching win at GPT-ish layer shapes.
 #[derive(Debug)]
 pub struct DenseGemm {
@@ -392,7 +393,7 @@ impl BatchModel for DenseGemm {
         let mut p = Planner::new();
         p.pixels_input(batch * len);
         let mut s = Stage::new(batch * len, batch * self.layer.d_out());
-        s.gemm(&self.layer, Loc::In, Loc::Out, batch, cfg, None)?;
+        s.gemm(&self.layer, Loc::In, Loc::Out, batch, cfg, None);
         p.push_stage(s);
         p.finish()
     }

@@ -6,16 +6,16 @@ use crate::tensor::Tensor;
 /// One trainable parameter tensor with its gradient accumulator and
 /// (lazily allocated) optimizer moments.
 ///
-/// # The cached weight code plane
+/// # The cached lowered weights
 ///
-/// `value` carries a lazily built, format-keyed cached code plane (the
-/// prepacked integer form of the weights that `mx_nn::qflow`'s quantized
-/// matmuls consume): the first BDR×BDR product against this parameter
-/// packs the plane, subsequent forward passes reuse it. The cache is keyed
+/// `value` carries lazily built, format-keyed lowered weights (the code
+/// plane or pre-cast copy that `mx_nn::qflow`'s quantized matmuls and
+/// compiled plans consume): the first product against this parameter
+/// lowers them, subsequent forward passes reuse them. The cache is keyed
 /// by [`Tensor::generation`], so *any* mutable access to the weight data —
 /// an optimizer step, a direct `p.value.data_mut()` write, or replacing
 /// `value` wholesale — invalidates it automatically, and the next product
-/// repacks bit-identically to an uncached run. See `mx_nn::qflow` for the
+/// re-lowers bit-identically to an uncached run. See `mx_nn::qflow` for the
 /// full contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {

@@ -1,22 +1,20 @@
 //! Compiled execution plans: lower a model forward pass **once** into a
 //! flat operator IR, then execute it with zero per-call planning.
 //!
-//! The dynamic path (walking `Layer::forward` implementations) re-decides
-//! format support, re-consults the per-tensor weight-plane cache, and
-//! re-allocates every intermediate tensor on each call. A [`CompiledPlan`]
-//! hoists all of that to plan-compile time for one `(QuantConfig,
-//! batch-bucket)` key:
+//! The dynamic path (walking `Layer::forward` implementations) re-consults
+//! the per-tensor weight cache and re-allocates every intermediate tensor
+//! on each call. A [`CompiledPlan`] hoists all of that to plan-compile time
+//! for one `(QuantConfig, batch-bucket)` key, and every `QuantConfig`
+//! plans:
 //!
-//! - **Prepack hoist** — every weight-side `pack_cols` runs at plan time;
-//!   the shift-aligned code planes are pinned on the plan as
-//!   `Arc<PackedOperand>`s (shared with the tensor's own cache, so dynamic
-//!   and planned execution read the *same* plane bits). Weight staleness is
-//!   checked once per execute via the cache key (see `plan_token` on the
-//!   model zoo), not once per layer.
-//! - **Format gate hoist** — the `pair_class` support decision runs once
-//!   per GEMM at plan time: a plan either compiles with the code-domain
-//!   path (or the `f32` identity path) or fails with a typed
-//!   [`PlanError`], instead of silently re-checking per call.
+//! - **Weight-lowering hoist** — every GEMM's weights are lowered at plan
+//!   time by the same decision the dynamic path makes
+//!   (`qflow::lower_weights`: a code plane for code-domain pairs, a
+//!   pre-cast `f32` copy for every other pair) and pinned on the plan as
+//!   the tensor cache's own `Arc`, so dynamic and planned execution read
+//!   the *same* weight bits and no plan holds a private copy. Weight
+//!   staleness is checked once per execute via the cache key (see
+//!   `plan_token` on the model zoo), not once per layer.
 //! - **Fusion** — quantize → GEMM → bias → activation → element-wise cast
 //!   chains collapse into single [`PlanNode::PackedGemm`] nodes (the A-side
 //!   quantize is already fused into the gemm kernel's execute loop).
@@ -29,7 +27,7 @@
 //!
 //! Bit-identity with the dynamic path is by construction: every node
 //! executes through the *same* crate-internal helper the corresponding
-//! layer's `forward` uses (`gemm::quantized_gemm_prepacked_scratch`,
+//! layer's `forward` uses (`qflow::gemm_lowered`,
 //! [`crate::layers::normalize_rows`], [`crate::attention::attention_mix`],
 //! [`crate::conv::im2col`], [`crate::format::cast_rows`], …), with the same
 //! thread count and the same operand values. The `plan_consistency` suite
@@ -40,18 +38,16 @@ use crate::attention::{attention_mix, TransformerBlock};
 use crate::conv::{im2col, Conv2d};
 use crate::format::{cast_rows, TensorFormat};
 use crate::layers::{normalize_rows, scale_shift_rows, Activation, Embedding, LayerNorm, Linear};
-use crate::qflow::{weight_plane, QuantConfig};
+use crate::qflow::{gemm_lowered, lower_weights, Lowered, QuantConfig};
 use crate::tensor::Tensor;
-use mx_core::bdr::BdrFormat;
-use mx_core::gemm::{self, PackScratch, PackedOperand};
-use mx_core::{fgemm, parallel};
+use mx_core::gemm::PackScratch;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Process-wide count of plans compiled ([`Planner::finish`] calls).
 static PLANS_COMPILED: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of weight planes pinned at plan time (prepack hoists).
+/// Process-wide count of lowered weights pinned at plan time (prepack
+/// hoists: code planes and casts alike).
 static PREPACK_HOISTS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide cumulative arena bytes laid out by compiled plans.
 static ARENA_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -68,25 +64,16 @@ pub fn plan_counters() -> (u64, u64, u64) {
     )
 }
 
-/// Typed plan-compile / plan-execute failure. Compilation errors are
-/// decided **once** at plan time (the hoisted format-support gate);
-/// executors treat any error as "fall back to the dynamic path".
-#[derive(Debug, Clone, PartialEq)]
+/// Typed plan-compile / plan-execute failure. Every format pair plans, so
+/// a compile error means the model's *structure* has no lowering; an
+/// execute error means the input or a planner invariant was wrong. There
+/// is no fallback: a server answers the failing batch with the error.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The model (or one of its layers) has no plan lowering — e.g.
-    /// data-dependent routing (MoE) or a storage format that cannot be
-    /// hoisted.
+    /// data-dependent routing (MoE), a bucket outside the model's window,
+    /// or a storage format that cannot be hoisted.
     Unsupported(&'static str),
-    /// The `(activation, weight)` format pair supports neither the `f32`
-    /// identity path nor the integer code-domain path. The dynamic path
-    /// would silently take the fake-quantize fallback; a plan refuses at
-    /// compile time instead.
-    UnsupportedFormats {
-        /// Activation-side format.
-        fa: TensorFormat,
-        /// Weight-side format.
-        fb: TensorFormat,
-    },
     /// The execute-time input does not match what the plan was compiled
     /// for (wrong kind, wrong length, or an out-of-range token index).
     Input(&'static str),
@@ -98,12 +85,6 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Unsupported(what) => write!(f, "unplannable model: {what}"),
-            PlanError::UnsupportedFormats { fa, fb } => {
-                write!(
-                    f,
-                    "format pair {fa}/{fb} has no code-domain or f32 plan path"
-                )
-            }
             PlanError::Input(what) => write!(f, "plan input mismatch: {what}"),
             PlanError::Internal(what) => write!(f, "plan invariant violated: {what}"),
         }
@@ -131,8 +112,8 @@ pub enum Loc {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Fused quantize → GEMM → bias → activation → element-wise cast. The
-    /// A-side quantize is fused inside the gemm kernel's execute loop; the
-    /// weight plane (or raw `f32` weights) lives in the binding at `slot`.
+    /// A-side quantize runs inside the GEMM execute helper; the lowered
+    /// weights (code plane or cast) live in the binding at `slot`.
     PackedGemm {
         /// Input location, `m × k` row-major.
         src: Loc,
@@ -295,17 +276,37 @@ pub enum PlanNode {
     },
 }
 
-/// How `f32` weights reach a GEMM node: raw values for the identity
-/// (`FP32`) path, or a shift-aligned code plane pinned at plan time for
-/// the integer code-domain path.
-enum GemmWeights {
-    /// Identity formats: plain `f32` GEMM against the copied weights.
-    F32 { w: Vec<f32> },
-    /// Code-domain path: the activation-side format plus the pinned plane.
-    Code {
-        fa: BdrFormat,
-        plane: Arc<PackedOperand>,
-    },
+/// A GEMM node's weights: the activation format plus the weights lowered
+/// for it at plan time, shared with the tensor's cache.
+struct GemmWeights {
+    fa: TensorFormat,
+    w: Lowered,
+}
+
+impl GemmWeights {
+    /// Pins `w`'s lowering for `cfg`'s forward `(activation, weight)` pair.
+    fn pin(w: &Tensor, cfg: QuantConfig) -> Self {
+        PREPACK_HOISTS.fetch_add(1, Ordering::Relaxed);
+        GemmWeights {
+            fa: cfg.fwd,
+            w: lower_weights(w, cfg.fwd, cfg.fwd_w),
+        }
+    }
+
+    /// Runs the GEMM core of a node through the execute helper the dynamic
+    /// path also uses.
+    fn run(
+        &self,
+        a: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<Vec<f32>, PlanError> {
+        gemm_lowered(a, m, k, n, self.fa, &self.w, scratch).ok_or(PlanError::Internal(
+            "pinned weights lost their kernel class",
+        ))
+    }
 }
 
 /// Per-instance state a [`PlanNode`] references by relative slot.
@@ -477,9 +478,9 @@ impl Stage {
     }
 
     /// Lowers a [`Linear`] into a fused [`PlanNode::PackedGemm`] over `m`
-    /// rows, running the hoisted format-support gate and pinning the
-    /// weight plane. `fused` optionally folds a following activation
-    /// layer's `(activation, element-wise format)` into the node.
+    /// rows, pinning its lowered weights. `fused` optionally folds a
+    /// following activation layer's `(activation, element-wise format)`
+    /// into the node.
     pub fn gemm(
         &mut self,
         lin: &Linear,
@@ -488,9 +489,9 @@ impl Stage {
         m: usize,
         cfg: QuantConfig,
         fused: Option<(Activation, TensorFormat)>,
-    ) -> Result<(), PlanError> {
+    ) {
         let (k, n) = (lin.d_in(), lin.d_out());
-        let weights = lower_weights(&lin.w.value, cfg.fwd, cfg.fwd_w, k, n)?;
+        let weights = GemmWeights::pin(&lin.w.value, cfg);
         let bias = lin.b.as_ref().map(|b| b.value.data().to_vec());
         let slot = self.bind(Binding::Gemm { weights, bias });
         self.nodes.push(PlanNode::PackedGemm {
@@ -503,7 +504,6 @@ impl Stage {
             act: fused.map(|(a, _)| a),
             cast: fused.map(|(_, f)| f),
         });
-        Ok(())
     }
 
     /// Lowers a [`LayerNorm`] over `rows` rows into a [`PlanNode::Norm`].
@@ -588,8 +588,8 @@ impl Stage {
         });
     }
 
-    /// Lowers a [`Conv2d`] over a `b × in_ch × h × w` input, running the
-    /// hoisted format gate on the im2col GEMM and pinning its plane.
+    /// Lowers a [`Conv2d`] over a `b × in_ch × h × w` input, pinning the
+    /// im2col GEMM's lowered weights.
     /// The geometry triplet plus fusion flag genuinely vary per call site.
     #[allow(clippy::too_many_arguments)]
     pub fn conv(
@@ -602,10 +602,9 @@ impl Stage {
         w: usize,
         cfg: QuantConfig,
         relu: bool,
-    ) -> Result<(), PlanError> {
+    ) {
         let (in_ch, out_ch, k, pad) = conv.plan_parts();
-        let patch = in_ch * k * k;
-        let weights = lower_weights(&conv.w.value, cfg.fwd, cfg.fwd_w, patch, out_ch)?;
+        let weights = GemmWeights::pin(&conv.w.value, cfg);
         let slot = self.bind(Binding::Conv {
             weights,
             bias: conv.b.value.data().to_vec(),
@@ -623,7 +622,6 @@ impl Stage {
             w,
             relu,
         });
-        Ok(())
     }
 
     /// Pushes ViT patch extraction for `b` images of `side × side` pixels.
@@ -657,62 +655,6 @@ impl Stage {
             chunks,
             spatial,
         });
-    }
-}
-
-/// The hoisted format-support gate (the per-call `pair_class` check of the
-/// dynamic path, run once at plan time): identity pairs take the `f32`
-/// path, supported BDR pairs pin a code plane, anything else is a typed
-/// compile error.
-fn lower_weights(
-    w: &Tensor,
-    fa: TensorFormat,
-    fb: TensorFormat,
-    k: usize,
-    n: usize,
-) -> Result<GemmWeights, PlanError> {
-    if fa.is_identity() && fb.is_identity() {
-        return Ok(GemmWeights::F32 {
-            w: w.data().to_vec(),
-        });
-    }
-    if let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) {
-        if gemm::code_domain_supported(&ba, &bb) {
-            let plane = pin_plane(w, ba, bb, k, n)?;
-            PREPACK_HOISTS.fetch_add(1, Ordering::Relaxed);
-            return Ok(GemmWeights::Code { fa: ba, plane });
-        }
-    }
-    Err(PlanError::UnsupportedFormats { fa, fb })
-}
-
-/// Fetches (or packs) `w`'s plane from the same generation-keyed cache the
-/// dynamic path uses, then proves it matches `fa`'s kernel class with a
-/// one-row probe — the cross-class retry the dynamic path does per call,
-/// hoisted to plan time.
-fn pin_plane(
-    w: &Tensor,
-    ba: BdrFormat,
-    bb: BdrFormat,
-    k: usize,
-    n: usize,
-) -> Result<Arc<PackedOperand>, PlanError> {
-    let probe_row = vec![0.0f32; k];
-    let mut scratch = PackScratch::new();
-    let mut probe = |plane: &PackedOperand| {
-        gemm::quantized_gemm_prepacked_scratch(&probe_row, 1, ba, plane, 1, &mut scratch).is_some()
-    };
-    let plane = weight_plane(w, ba, bb, k, n, false);
-    if probe(&plane) {
-        return Ok(plane);
-    }
-    // Cached plane was packed for the other kernel class: repack for this
-    // exact pair (replacing the cache entry, as the dynamic retry does).
-    let plane = weight_plane(w, ba, bb, k, n, true);
-    if probe(&plane) {
-        Ok(plane)
-    } else {
-        Err(PlanError::Internal("freshly packed plane failed its probe"))
     }
 }
 
@@ -816,7 +758,7 @@ impl Planner {
         cfg: QuantConfig,
         b: usize,
         t: usize,
-    ) -> Result<(), PlanError> {
+    ) {
         let (ln1, attn, ln2, fc1, act, fc2) = blk.plan_parts();
         let (wq, wk, wv, wo, heads, causal) = attn.plan_parts();
         let d = wq.d_in();
@@ -826,9 +768,9 @@ impl Planner {
         let normed = s.alloc(len);
         s.norm(ln1, Loc::In, normed, rows);
         let (q, k, v) = (s.alloc(len), s.alloc(len), s.alloc(len));
-        s.gemm(wq, normed, q, rows, cfg, None)?;
-        s.gemm(wk, normed, k, rows, cfg, None)?;
-        s.gemm(wv, normed, v, rows, cfg, None)?;
+        s.gemm(wq, normed, q, rows, cfg, None);
+        s.gemm(wk, normed, k, rows, cfg, None);
+        s.gemm(wv, normed, v, rows, cfg, None);
         s.free(normed, len);
         let concat = s.alloc(len);
         s.attn_mix(q, k, v, concat, b, t, d, heads, causal, cfg);
@@ -836,7 +778,7 @@ impl Planner {
         s.free(k, len);
         s.free(v, len);
         let attn_out = s.alloc(len);
-        s.gemm(wo, concat, attn_out, rows, cfg, None)?;
+        s.gemm(wo, concat, attn_out, rows, cfg, None);
         s.free(concat, len);
         let x1 = s.alloc(len);
         s.add(Loc::In, attn_out, x1, len, false);
@@ -844,14 +786,13 @@ impl Planner {
         let normed2 = s.alloc(len);
         s.norm(ln2, x1, normed2, rows);
         let h = s.alloc(rows * fc1.d_out());
-        s.gemm(fc1, normed2, h, rows, cfg, Some(act.plan_parts()))?;
+        s.gemm(fc1, normed2, h, rows, cfg, Some(act.plan_parts()));
         s.free(normed2, len);
         let h2 = s.alloc(len);
-        s.gemm(fc2, h, h2, rows, cfg, None)?;
+        s.gemm(fc2, h, h2, rows, cfg, None);
         s.free(h, rows * fc1.d_out());
         s.add(x1, h2, Loc::Out, len, false);
         self.push_stage(s);
-        Ok(())
     }
 
     /// Seals the plan. Fails if no stage declared the input contract.
@@ -1024,7 +965,7 @@ impl CompiledPlan {
                     return Err(PlanError::Internal("gemm binding type"));
                 };
                 let s = off(src);
-                let y = run_gemm(weights, &buf[s..s + m * k], m, k, n, scratch)?;
+                let y = weights.run(&buf[s..s + m * k], m, k, n, scratch)?;
                 let d = off(dst);
                 let out = &mut buf[d..d + m * n];
                 match bias {
@@ -1186,7 +1127,7 @@ impl CompiledPlan {
                         h,
                         w,
                     );
-                    let y = run_gemm(weights, cols.data(), ohw, patch, *out_ch, scratch)?;
+                    let y = weights.run(cols.data(), ohw, patch, *out_ch, scratch)?;
                     let bbase = d + bi * out_ch * ohw;
                     for oc in 0..*out_ch {
                         for p in 0..ohw {
@@ -1260,32 +1201,13 @@ impl CompiledPlan {
     }
 }
 
-/// Runs the GEMM core of a node on its plan-time-chosen path, with the
-/// per-execute thread count the dynamic path also reads.
-fn run_gemm(
-    weights: &GemmWeights,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> Result<Vec<f32>, PlanError> {
-    let threads = parallel::default_threads();
-    match weights {
-        GemmWeights::F32 { w } => Ok(fgemm::matmul(a, w, m, k, n, threads)),
-        GemmWeights::Code { fa, plane } => {
-            gemm::quantized_gemm_prepacked_scratch(a, m, *fa, plane, threads, scratch)
-                .ok_or(PlanError::Internal("pinned plane lost its kernel class"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)
@@ -1321,6 +1243,8 @@ mod tests {
             QuantConfig::fp32(),
             QuantConfig::uniform(TensorFormat::MX6),
             QuantConfig::weights_activations(TensorFormat::MX4, TensorFormat::MX9),
+            // No code-domain path: planned through the pre-cast weights.
+            QuantConfig::uniform(TensorFormat::Bf16),
         ] {
             let mut lin = Linear::new(&mut rng(), 32, 8, true, cfg);
             let x: Vec<f32> = (0..3 * 32).map(|i| (i as f32 * 0.23).sin()).collect();
@@ -1330,7 +1254,7 @@ mod tests {
             let mut p = Planner::new();
             p.pixels_input(3 * 32);
             let mut s = Stage::new(3 * 32, 3 * 8);
-            s.gemm(&lin, Loc::In, Loc::Out, 3, cfg, None).unwrap();
+            s.gemm(&lin, Loc::In, Loc::Out, 3, cfg, None);
             p.push_stage(s);
             let plan = p.finish().unwrap();
             let mut arena = PlanArena::new();
@@ -1343,12 +1267,30 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_pair_fails_at_plan_time() {
+    fn plans_of_one_tensor_share_its_cast_weights() {
         let cfg = QuantConfig::uniform(TensorFormat::Bf16);
         let lin = Linear::new(&mut rng(), 16, 4, false, cfg);
-        let mut s = Stage::new(16, 4);
-        let err = s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap_err();
-        assert!(matches!(err, PlanError::UnsupportedFormats { .. }), "{err}");
+        let cast_of = |m: usize| {
+            let mut p = Planner::new();
+            p.pixels_input(m * 16);
+            let mut s = Stage::new(m * 16, m * 4);
+            s.gemm(&lin, Loc::In, Loc::Out, m, cfg, None);
+            p.push_stage(s);
+            let plan = p.finish().unwrap();
+            match &plan.bindings[..] {
+                [Binding::Gemm {
+                    weights:
+                        GemmWeights {
+                            w: Lowered::Cast(w),
+                            ..
+                        },
+                    ..
+                }] => Arc::clone(w),
+                _ => panic!("expected one cast GEMM binding"),
+            }
+        };
+        // Two buckets, one tensor generation: one shared cast, no copy.
+        assert!(Arc::ptr_eq(&cast_of(1), &cast_of(8)));
     }
 
     #[test]
@@ -1358,7 +1300,7 @@ mod tests {
         let mut p = Planner::new();
         p.pixels_input(8);
         let mut s = Stage::new(8, 2);
-        s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
+        s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None);
         p.push_stage(s);
         let plan = p.finish().unwrap();
         let mut arena = PlanArena::new();
@@ -1381,7 +1323,7 @@ mod tests {
         let mut p = Planner::new();
         p.pixels_input(32);
         let mut s = Stage::new(32, 4);
-        s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None).unwrap();
+        s.gemm(&lin, Loc::In, Loc::Out, 1, cfg, None);
         p.push_stage(s);
         let plan = p.finish().unwrap();
         let (p1, h1, a1) = plan_counters();

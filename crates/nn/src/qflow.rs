@@ -9,71 +9,67 @@
 //! quantization-aware fine-tuning with an MX6/MX4 forward and an FP32
 //! backward is expressed.
 //!
-//! # The weight-plane cache and its invalidation contract
+//! # Lowering the weight operand once, and caching it
 //!
-//! When both operands of [`quantized_matmul_ab`] are BDR formats, the
-//! product runs on `mx_core::gemm`'s prepack/execute split: the right
-//! (weight) operand must be lowered to a shift-aligned integer code plane
-//! ([`mx_core::gemm::PackedOperand`]) before the integer GEMM executes.
-//! The left (activation) operand goes through the gemm module's execute
-//! entry (`quantized_gemm_prepacked_scratch`), which quantizes it per row
-//! strip *inside* the execute loop (pack-on-the-fly) at every shape, so
-//! every layer, training, and the `mx-serve` batch path share one
-//! activation path with no call-site changes.
-//! That lowering is cached **on the weight tensor itself**, keyed by the
-//! weight format (the codes depend only on it, so one plane serves every
-//! activation format in the same kernel class), and attention, linear,
-//! RNN, and conv im2col all amortize packing across forward passes with no
-//! call-site changes — at inference steady state the weight operand is
-//! never re-quantized. The cache holds one plane *per weight format* (see
-//! [`MAX_CACHED_PLANES`]) behind a mutex, so concurrent serving threads
-//! that select formats per request share the same warm planes instead of
-//! evicting each other — `mx-serve` leans on exactly this to lower each
-//! model's weights once across all in-flight requests, and
-//! [`plane_cache_counters`] exposes the hit/pack tallies its `ServeStats`
-//! reports as "packs avoided".
+//! One decision, [`lower_weights`], lowers the weight side of every
+//! product for this module's dynamic walk and the `plan` module alike: a
+//! **code-domain pair** (two BDR formats `mx_core::gemm` multiplies exactly
+//! in integers) gets a shift-aligned code plane
+//! ([`mx_core::gemm::PackedOperand`]); **every other pair**, identity
+//! included, gets a pre-cast `f32` copy. [`gemm_lowered`] is the one
+//! execute helper for both kinds, so planned and dynamic GEMMs run the same
+//! arithmetic on the same weights.
+//!
+//! The lowering is cached **on the weight tensor itself**, one entry per
+//! weight format and kind (at most [`MAX_CACHED_PLANES`], behind a mutex),
+//! so attention, linear, RNN and conv im2col amortize it with no call-site
+//! changes, concurrent serving threads share warm entries, and every
+//! compiled plan of a tensor pins the *same* `Arc` instead of a private
+//! copy. [`plane_cache_counters`] exposes the hit/lowering tallies
+//! `mx-serve`'s `ServeStats` reports as "packs avoided".
 //!
 //! The invalidation contract is generation-based and cannot go stale:
 //!
 //! - every [`Tensor`] carries a globally unique generation stamp that
 //!   changes on **every** mutable-data access ([`Tensor::data_mut`]);
-//! - a cached plane records the generation it was packed at and is only
+//! - a cached entry records the generation it was lowered at and is only
 //!   reused while the stamps still match;
 //! - optimizer steps (`Sgd::step` / `Adam::step` write through `data_mut`),
 //!   direct `Param` weight writes, and wholesale tensor replacement
 //!   therefore all invalidate the cache automatically — the next matmul
-//!   repacks from the updated values and is bit-identical to an uncached
+//!   re-lowers from the updated values and is bit-identical to an uncached
 //!   run (asserted by the `weight_cache` regression suite).
 
-use crate::format::{quantize_along, Axis, TensorFormat};
-use crate::tensor::{CachedPlane, Tensor};
-use mx_core::bdr::BdrFormat;
+use crate::format::{cast_rows, quantize_along, Axis, TensorFormat};
+use crate::tensor::{CachedWeights, Tensor};
 use mx_core::gemm::{self, PackScratch, PackedOperand};
-use mx_core::parallel;
+use mx_core::{fgemm, parallel};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Most weight code planes a tensor caches at once (one per weight format).
-/// Large enough for every preset plus headroom; past it the oldest entry is
-/// evicted. Serving traffic that cycles through the presets therefore never
-/// repacks after warmup, and a pathological format fuzzer cannot hoard
-/// memory.
+/// Most lowered weights a tensor caches at once (one per weight format and
+/// kind). Large enough for every preset plus headroom; past it the oldest
+/// entry is evicted. Serving traffic that cycles through the presets
+/// therefore never re-lowers after warmup, and a pathological format
+/// fuzzer cannot hoard memory.
 const MAX_CACHED_PLANES: usize = 8;
 
-/// Process-wide count of weight-plane cache hits (a B-side lowering that
-/// was skipped because a cached plane matched).
+/// Process-wide count of weight-cache hits (a B-side lowering that was
+/// skipped because a cached entry matched).
 static PLANE_HITS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of weight-plane packs actually performed (cold slot,
-/// stale generation, new format, or forced cross-class repack).
+/// Process-wide count of weight lowerings actually performed (cold slot,
+/// stale generation, or a new format, kind, or kernel class).
 static PLANE_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the process-wide weight-plane cache counters as
+/// Snapshot of the process-wide weight-cache counters as
 /// `(hits, packs_performed)`. Hits are packs *avoided*: each one is a full
-/// B-side lowering that a cached plane made unnecessary. The counters are
-/// cumulative over the process (all models, all threads); consumers such as
-/// `mx-serve`'s `ServeStats` report deltas against a baseline.
+/// B-side lowering (code plane or cast) that a cached entry made
+/// unnecessary. The counters are cumulative over the process (all models,
+/// all threads); consumers such as `mx-serve`'s `ServeStats` report deltas
+/// against a baseline.
 pub fn plane_cache_counters() -> (u64, u64) {
     (
         PLANE_HITS.load(Ordering::Relaxed),
@@ -165,6 +161,17 @@ impl QuantConfig {
             && self.bwd.is_identity()
             && self.elementwise.is_identity()
     }
+
+    /// Whether a forward pass under this config computes each request of a
+    /// batch from that request's inputs alone. False when activations or
+    /// element-wise outputs use a per-tensor-scaled format: its one amax
+    /// spans the whole batched tensor, so a request's bits would depend on
+    /// its batch partners (and on padding rows). Weights may be
+    /// per-tensor-scaled either way — they do not change with the batch.
+    pub fn batch_invariant(&self) -> bool {
+        let per_tensor = |f: TensorFormat| matches!(f, TensorFormat::ScalarScaled(_));
+        !per_tensor(self.fwd) && !per_tensor(self.elementwise)
+    }
 }
 
 impl Default for QuantConfig {
@@ -207,125 +214,131 @@ pub fn quantized_matmul(a: &Tensor, b: &Tensor, format: TensorFormat) -> Tensor 
 /// [`quantized_matmul`] with distinct operand formats: `a` (activations)
 /// quantizes in `fa`, `b` (weights) in `fb`.
 ///
-/// When both operands are block (BDR) formats the product runs on
-/// [`mx_core::gemm`]'s integer code-domain path through its
-/// prepack/execute split: `b`'s shift-aligned code plane is fetched from
-/// the tensor's generation-keyed cache (packed on a miss — see the module
-/// docs for the invalidation contract), `a`'s rows are lowered fresh —
-/// fused into the execute loop one row strip at a time — and
-/// every K-block dot product is computed in integer arithmetic with a
-/// single `f32` scale-out per block pair — bit-identical to the dequantize
+/// `b` is lowered by [`lower_weights`] (fetched from the tensor's
+/// generation-keyed cache, lowered on a miss — see the module docs) and
+/// the product runs through [`gemm_lowered`]. For a code-domain pair every
+/// K-block dot product is computed in integer arithmetic with a single
+/// `f32` scale-out per block pair — bit-identical to the dequantize
 /// reference with blocked accumulation (and exactly equal to the naive
-/// `f32` product whenever `K ≤ k1`), cached plane or not. Identity
-/// (`FP32`) and scalar formats fall back to fake-quantize + `f32` matmul.
+/// `f32` product whenever `K ≤ k1`). Every other pair is the
+/// fake-quantize + `f32` matmul composition.
 pub fn quantized_matmul_ab(a: &Tensor, b: &Tensor, fa: TensorFormat, fb: TensorFormat) -> Tensor {
-    if fa.is_identity() && fb.is_identity() {
-        return a.matmul(b);
-    }
-    if let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) {
-        if gemm::code_domain_supported(&ba, &bb) {
-            let (m, k) = (a.rows(), a.cols());
-            assert_eq!(b.shape().len(), 2, "rhs of matmul must be 2-D");
-            let (kb, n) = (b.shape()[0], b.shape()[1]);
-            assert_eq!(k, kb, "inner dims: {k} vs {kb}");
-            let threads = parallel::default_threads();
-            let plane = weight_plane(b, ba, bb, k, n, false);
-            let run = |plane: &PackedOperand| {
-                PACK_SCRATCH.with(|scratch| {
-                    gemm::quantized_gemm_prepacked_scratch(
-                        a.data(),
-                        m,
-                        ba,
-                        plane,
-                        threads,
-                        &mut scratch.borrow_mut(),
-                    )
-                })
-            };
-            let out = match run(&plane) {
-                Some(out) => out,
-                // The cached plane was packed for a partner in the other
-                // kernel class (exotic mixed-format direct cast): repack
-                // for this pair and replace the entry.
-                None => {
-                    let plane = weight_plane(b, ba, bb, k, n, true);
-                    run(&plane).expect("plane freshly packed for this exact pair")
-                }
-            };
-            let mut shape = a.shape()[..a.shape().len() - 1].to_vec();
-            shape.push(n);
-            return Tensor::from_vec(out, &shape);
-        }
-    }
-    let aq = quantize_along(a, fa, Axis::Row);
-    let bq = quantize_along(b, fb, Axis::Col);
-    aq.matmul(&bq)
+    let (m, k) = (a.rows(), a.cols());
+    assert_eq!(b.shape().len(), 2, "rhs of matmul must be 2-D");
+    let (kb, n) = (b.shape()[0], b.shape()[1]);
+    assert_eq!(k, kb, "inner dims: {k} vs {kb}");
+    let w = lower_weights(b, fa, fb);
+    let out = PACK_SCRATCH
+        .with(|scratch| gemm_lowered(a.data(), m, k, n, fa, &w, &mut scratch.borrow_mut()));
+    let mut shape = a.shape()[..a.shape().len() - 1].to_vec();
+    shape.push(n);
+    Tensor::from_vec(out.expect("weights lowered for this exact pair"), &shape)
 }
 
-/// Returns `b`'s cached weight code plane for weight format `fb`, packing
-/// (for the `(fa, fb)` pair) and caching on a cold or stale slot, or
-/// unconditionally when `force` is set. A hit requires the stored
-/// generation stamp to equal [`Tensor::generation`] — the contract that
-/// makes optimizer steps and direct weight writes invalidate automatically.
-/// Stale entries (from any older generation) are purged wholesale on the
-/// first lookup after a mutation.
+/// A weight operand lowered for one `(fa, fb)` product by
+/// [`lower_weights`], shared (never copied) by every caller that
+/// multiplies against the same tensor generation.
+#[derive(Clone)]
+pub(crate) enum Lowered {
+    /// Code-domain pair: the shift-aligned code plane the integer GEMM
+    /// reads.
+    Plane(Arc<PackedOperand>),
+    /// Every other pair: the weights fake-quantized through `fb` along
+    /// their columns.
+    Cast(Arc<Vec<f32>>),
+}
+
+/// The weight-lowering decision for a `(fa, fb)` product, made once for
+/// the dynamic walk and the planner alike: code-domain pairs get a code
+/// plane, every other pair (identity included) a pre-cast `f32` copy.
+/// Returns `b`'s cached entry when one matches, else lowers and caches.
 ///
-/// The cache holds one plane **per weight format** (up to
-/// [`MAX_CACHED_PLANES`], oldest evicted): serving traffic that selects
-/// formats per request keeps every live format's plane warm instead of
-/// thrashing a single slot. The activation format is deliberately not part
-/// of the key: the codes depend only on `fb`, so one plane serves every
-/// activation format in the same kernel class (direct-cast sweeps that
-/// alternate activation formats against one weight tensor keep hitting).
-/// The rare cross-class pairing is caught by the prepacked GEMM returning
-/// `None`, and the caller retries with `force`, which replaces that
-/// format's entry.
-///
-/// The packing work is needed by the GEMM either way, so caching costs no
-/// extra compute; for short-lived activation tensors that pass through as
-/// the right operand, the entry simply drops with the tensor. (Activation
-/// tensors a training cache retains — e.g. attention's per-head V — keep
-/// their plane, roughly half the tensor's size again, alive for one step;
-/// an accepted cost at this repo's scales, and inference retains no such
-/// caches.)
-///
-/// Hits and packs are tallied in the process-wide counters behind
-/// [`plane_cache_counters`]. `pub(crate)` so the `plan` module can pin the
-/// same planes (same cache, same bits) at plan-compile time.
-pub(crate) fn weight_plane(
-    b: &Tensor,
-    fa: BdrFormat,
-    fb: BdrFormat,
-    k: usize,
-    n: usize,
-    force: bool,
-) -> Arc<PackedOperand> {
+/// A hit requires the stored generation stamp to equal
+/// [`Tensor::generation`]; stale entries are purged wholesale on the first
+/// lookup after a mutation. A code plane only matches an activation format
+/// it [`PackedOperand::accepts`], so one plane serves every activation
+/// format of its kernel class while a cross-class partner lowers its own.
+/// Short-lived right operands (activations) simply drop their entry with
+/// the tensor.
+pub(crate) fn lower_weights(b: &Tensor, fa: TensorFormat, fb: TensorFormat) -> Lowered {
+    let code = match (fa, fb) {
+        (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) if gemm::code_domain_supported(&ba, &bb) => {
+            Some((ba, bb))
+        }
+        _ => None,
+    };
     let mut slot = b.plane_slot().lock().expect("plane cache poisoned");
     let gen = b.generation();
-    // The data changed since these planes were packed: all of them are dead.
+    // The data changed since these entries were lowered: all of them are
+    // dead.
     slot.retain(|c| c.gen == gen);
-    if !force {
-        if let Some(cached) = slot.iter().find(|c| c.fb == fb) {
-            PLANE_HITS.fetch_add(1, Ordering::Relaxed);
-            return cached.plane.clone();
-        }
+    let hit = slot.iter().find(|c| {
+        c.fb == fb
+            && match (&c.lowered, code) {
+                (Lowered::Plane(plane), Some((ba, _))) => plane.accepts(&ba),
+                (Lowered::Cast(_), None) => true,
+                _ => false,
+            }
+    });
+    if let Some(cached) = hit {
+        PLANE_HITS.fetch_add(1, Ordering::Relaxed);
+        return cached.lowered.clone();
     }
     PLANE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let plane = Arc::new(
-        PackedOperand::pack_cols(b.data(), k, n, fa, fb).expect("pair passed the support gate"),
-    );
-    // A forced repack replaces this format's entry (it was packed for the
-    // other kernel class); bounded eviction drops the oldest format.
-    slot.retain(|c| c.fb != fb);
+    let lowered = match code {
+        Some((ba, bb)) => {
+            let (k, n) = (b.shape()[0], b.shape()[1]);
+            Lowered::Plane(Arc::new(
+                PackedOperand::pack_cols(b.data(), k, n, ba, bb)
+                    .expect("pair passed the support gate"),
+            ))
+        }
+        None => Lowered::Cast(Arc::new(quantize_along(b, fb, Axis::Col).into_data())),
+    };
     if slot.len() >= MAX_CACHED_PLANES {
         slot.remove(0);
     }
-    slot.push(CachedPlane {
+    slot.push(CachedWeights {
         gen,
         fb,
-        plane: plane.clone(),
+        lowered: lowered.clone(),
     });
-    plane
+    lowered
+}
+
+/// The one execute helper behind every quantized GEMM, dynamic or planned:
+/// `a` is `m × k` activations in `fa`, `w` the `k × n` weights lowered by
+/// [`lower_weights`] for the same `fa`. A code plane runs the integer GEMM
+/// (activation rows quantized inside its execute loop); a cast runs
+/// `cast_rows(a, k, fa)` and the `f32` GEMM. `None` when `w` was lowered
+/// for a different activation format (a plane of another kernel class, or
+/// a plane against a non-block `fa`).
+pub(crate) fn gemm_lowered(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    fa: TensorFormat,
+    w: &Lowered,
+    scratch: &mut PackScratch,
+) -> Option<Vec<f32>> {
+    let threads = parallel::default_threads();
+    match (w, fa) {
+        (Lowered::Plane(plane), TensorFormat::Bdr(ba)) => {
+            gemm::quantized_gemm_prepacked_scratch(a, m, ba, plane, threads, scratch)
+        }
+        (Lowered::Plane(_), _) => None,
+        (Lowered::Cast(w), fa) => {
+            let a = if fa.is_identity() {
+                Cow::Borrowed(a)
+            } else {
+                let mut aq = a.to_vec();
+                cast_rows(&mut aq, k, fa);
+                Cow::Owned(aq)
+            };
+            Some(fgemm::matmul(&a, w, m, k, n, threads))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -381,14 +394,11 @@ mod tests {
             &[k, n],
         );
         for (fa, fb) in [
-            (TensorFormat::MX6, TensorFormat::MX6),
-            (TensorFormat::MX9, TensorFormat::MX4),
+            (BdrFormat::MX6, BdrFormat::MX6),
+            (BdrFormat::MX9, BdrFormat::MX4),
         ] {
-            let y = quantized_matmul_ab(&a, &b, fa, fb);
-            let (TensorFormat::Bdr(ba), TensorFormat::Bdr(bb)) = (fa, fb) else {
-                unreachable!()
-            };
-            let want = gemm::reference_gemm(a.data(), b.data(), m, k, n, ba, bb);
+            let y = quantized_matmul_ab(&a, &b, TensorFormat::Bdr(fa), TensorFormat::Bdr(fb));
+            let want = gemm::reference_gemm(a.data(), b.data(), m, k, n, fa, fb);
             assert!(
                 y.data()
                     .iter()
@@ -459,11 +469,8 @@ mod tests {
         // the plane (the codes depend only on the weight format) and is
         // still bit-exact against the uncached reference for that pair.
         let y_mixed = quantized_matmul_ab(&a, &b, TensorFormat::MX9, TensorFormat::MX6);
-        let (TensorFormat::Bdr(a9), TensorFormat::Bdr(w6)) = (TensorFormat::MX9, TensorFormat::MX6)
-        else {
-            unreachable!()
-        };
-        let want_mixed = gemm::reference_gemm(a.data(), b.data(), m, k, n, a9, w6);
+        let (f9, f6) = (BdrFormat::MX9, BdrFormat::MX6);
+        let want_mixed = gemm::reference_gemm(a.data(), b.data(), m, k, n, f9, f6);
         assert!(y_mixed
             .data()
             .iter()
@@ -471,12 +478,7 @@ mod tests {
             .all(|(x, y)| x.to_bits() == y.to_bits()));
         // A different *weight* format replaces the entry (still correct).
         let y9 = quantized_matmul(&a, &b, TensorFormat::MX9);
-        let (TensorFormat::Bdr(f9), TensorFormat::Bdr(f9b)) =
-            (TensorFormat::MX9, TensorFormat::MX9)
-        else {
-            unreachable!()
-        };
-        let want9 = gemm::reference_gemm(a.data(), b.data(), m, k, n, f9, f9b);
+        let want9 = gemm::reference_gemm(a.data(), b.data(), m, k, n, f9, f9);
         assert_eq!(y9.data(), &want9[..]);
         // Clones do not share the slot: a clone starts cold (one repack at
         // worst) rather than thrashing a shared one-entry cache once the
@@ -496,9 +498,6 @@ mod tests {
         // ... and the next product repacks from the new values,
         // bit-identical to the uncached reference.
         let y3 = quantized_matmul(&a, &b, TensorFormat::MX6);
-        let (TensorFormat::Bdr(f6), _) = (TensorFormat::MX6, ()) else {
-            unreachable!()
-        };
         let want = gemm::reference_gemm(a.data(), b.data(), m, k, n, f6, f6);
         assert!(y3
             .data()

@@ -5,14 +5,12 @@
 //! row-wise bias case. The quantized compute flow of Fig. 8 lives in
 //! [`crate::qflow`]; this module provides the exact arithmetic underneath.
 
-use mx_core::bdr::BdrFormat;
-use mx_core::gemm::PackedOperand;
+use crate::format::TensorFormat;
+use crate::qflow::Lowered;
 use mx_core::{fgemm, parallel};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-// (`Arc` is still used by `CachedPlane::plane`, shared with the executing
-// GEMM after the slot's lock is released.)
+use std::sync::{Mutex, OnceLock};
 
 /// Process-wide monotone counter behind [`Tensor::generation`]: every
 /// tensor construction or mutable-data access draws a fresh, globally
@@ -23,31 +21,29 @@ fn next_gen() -> u64 {
     NEXT_GEN.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A weight code plane cached on a tensor: the [`PackedOperand`] built for
-/// one weight format, stamped with the generation of the data it was
-/// packed from. A lookup only hits when the stamp still matches
-/// [`Tensor::generation`] — any in-place mutation (optimizer steps
-/// included) bumps the generation and thereby invalidates the entry. The
-/// activation format is not part of the key: the codes depend only on the
-/// weight format (see `crate::qflow`).
-#[derive(Clone)]
-pub(crate) struct CachedPlane {
+/// Weights cached on a tensor: the code plane or pre-cast copy
+/// `crate::qflow::lower_weights` built for one weight format, stamped with
+/// the generation of the data it was lowered from. A lookup only hits when
+/// the stamp still matches [`Tensor::generation`] — any in-place mutation
+/// (optimizer steps included) bumps the generation and thereby invalidates
+/// the entry.
+pub(crate) struct CachedWeights {
     pub(crate) gen: u64,
-    pub(crate) fb: BdrFormat,
-    pub(crate) plane: Arc<PackedOperand>,
+    pub(crate) fb: TensorFormat,
+    pub(crate) lowered: Lowered,
 }
 
-/// Per-tensor plane cache: a small set of [`CachedPlane`]s, one per weight
-/// format, allocated lazily so tensors that never serve as quantized
+/// Per-tensor weight cache: a small set of [`CachedWeights`], one per
+/// weight format and kind, allocated lazily so tensors that never serve as
 /// weights pay nothing. Holding every live format (rather than one entry)
 /// is what makes the cache safe to share under serving traffic: requests
 /// that alternate weight formats against one model each keep their own
-/// plane instead of perpetually evicting each other's (see `crate::qflow`
+/// entry instead of perpetually evicting each other's (see `crate::qflow`
 /// for the bound and the eviction rule). The `Mutex` makes concurrent
 /// lookups from N serving threads safe; each clone still gets its own
 /// (cold) cache — sharing would let two diverged clones used as weights
 /// thrash each other's entries.
-type PlaneSlot = Mutex<Vec<CachedPlane>>;
+type PlaneSlot = Mutex<Vec<CachedWeights>>;
 
 /// A dense row-major tensor of `f32` values.
 ///
@@ -71,7 +67,7 @@ pub struct Tensor {
 }
 
 impl Clone for Tensor {
-    /// Clones data and generation but **not** the plane-cache slot: the
+    /// Clones data and generation but **not** the weight-cache slot: the
     /// clone starts cold (at worst one repack per format) instead of
     /// sharing a cache that diverged clones would thrash.
     fn clone(&self) -> Self {
@@ -126,7 +122,7 @@ impl Tensor {
     }
 
     /// The one constructor every tensor goes through: stamps a fresh
-    /// generation and an empty (unallocated) plane-cache slot.
+    /// generation and an empty (unallocated) weight-cache slot.
     fn with_data(shape: Vec<usize>, data: Vec<f32>) -> Self {
         Tensor {
             shape,
@@ -173,7 +169,7 @@ impl Tensor {
     /// Mutable view of the underlying data.
     ///
     /// Bumps the tensor's [`generation`](Tensor::generation): any cached
-    /// weight code plane built from the previous contents is invalidated,
+    /// lowered weights built from the previous contents are invalidated,
     /// whether or not the caller actually writes.
     pub fn data_mut(&mut self) -> &mut [f32] {
         self.gen = next_gen();
@@ -189,15 +185,16 @@ impl Tensor {
         self.gen
     }
 
-    /// The lazily allocated weight-plane cache slot.
-    pub(crate) fn plane_slot(&self) -> &Mutex<Vec<CachedPlane>> {
+    /// The lazily allocated weight cache slot.
+    pub(crate) fn plane_slot(&self) -> &PlaneSlot {
         self.plane.get_or_init(PlaneSlot::default)
     }
 
-    /// Generation stamp of the most recently cached weight code plane, if
-    /// any has been built. A `Some` equal to [`Tensor::generation`] means
-    /// the next quantized matmul with matching formats will reuse a plane;
-    /// any other value means the cache is cold or stale.
+    /// Generation stamp of the most recently cached lowered weights (code
+    /// plane or cast), if any have been built. A `Some` equal to
+    /// [`Tensor::generation`] means the next quantized matmul with matching
+    /// formats will reuse them; any other value means the cache is cold or
+    /// stale.
     pub fn cached_plane_generation(&self) -> Option<u64> {
         self.plane.get().and_then(|slot| {
             slot.lock()
@@ -207,8 +204,8 @@ impl Tensor {
         })
     }
 
-    /// Number of weight code planes currently cached on this tensor (one
-    /// per weight format seen since the last data mutation).
+    /// Number of lowered weights currently cached on this tensor (one per
+    /// weight format and kind seen since the last data mutation).
     pub fn cached_plane_count(&self) -> usize {
         self.plane
             .get()

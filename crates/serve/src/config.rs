@@ -168,7 +168,9 @@ impl ServerConfig {
         self
     }
 
-    /// Most requests coalesced into one `forward_batch` call.
+    /// Most requests coalesced into one compiled-plan execution. Configs
+    /// that are not `QuantConfig::batch_invariant` (per-tensor-scaled
+    /// activations) always run one request per batch.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
         self
@@ -177,8 +179,9 @@ impl ServerConfig {
     /// Pad every ragged batch up to `max_batch` with zero requests whose
     /// outputs are discarded. Costs compute, but keeps the GEMM shape (and
     /// therefore the per-thread activation-pack scratch size) constant —
-    /// the classic fixed-shape serving trade. Semantically invisible either
-    /// way.
+    /// the classic fixed-shape serving trade. Bit-invisible for every
+    /// `QuantConfig::batch_invariant` config; the others (per-tensor-scaled
+    /// activations, whose amax would see the padding) are never padded.
     pub fn pad_batches(mut self, pad: bool) -> Self {
         self.pad_batches = pad;
         self

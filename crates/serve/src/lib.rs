@@ -27,18 +27,23 @@
 //!   response is the padded run's output sliced back to the request's own
 //!   length. Fixed-length models are the degenerate single-bucket case;
 //! - a per-shard **batcher** that drains the shard queue and coalesces
-//!   same-model / same-config / same-bucket requests into one
-//!   `forward_batch` call of at most `max_batch` requests — the
-//!   weight-side `PackedOperand` is fetched from `mx-nn`'s
-//!   generation-keyed, per-format plane cache, so it is lowered **once**
-//!   and shared by every request in every batch.
+//!   same-model / same-config / same-bucket requests into batches of at
+//!   most `max_batch` requests;
+//! - **compiled plans as the only execution path**: each batch runs the
+//!   model's [`CompiledPlan`] for its `(config, bucket, padded batch)`
+//!   key, compiled on first use and cached per model, over weights lowered
+//!   **once** into `mx-nn`'s per-format weight cache. A plan that fails is
+//!   answered as [`ServeError::PlanFailed`] on every request of the batch.
 //!
-//! Batching is **semantically invisible**: every tensor op on the zoo's
+//! Batching is **semantically invisible**: under every
+//! [`QuantConfig::batch_invariant`] config, every tensor op on the zoo's
 //! inference path is row- (or sequence-) independent, so a request's
 //! response is bit-identical to running the same (bucket-padded) request
 //! alone — across formats, batch sizes, shard counts, ragged final
 //! batches, and zero-padded batches (the workspace's `serve_end_to_end`
-//! suite asserts this bit for bit). What batching buys is throughput:
+//! suite asserts this bit for bit). Configs with per-tensor-scaled
+//! activations, whose one amax spans the whole batch, run one request per
+//! batch and are never padded. What batching buys is throughput:
 //! B-side code traffic, kernel dispatch, and the A-side pack's per-call
 //! overhead amortize over the coalesced rows (measured in the
 //! `serving_throughput` bench and the multi-tenant `serve_loadgen`
@@ -80,13 +85,13 @@ pub use request::{Priority, Request, RequestInput};
 pub use stats::ServeStats;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use mx_models::zoo::{BatchModel, InputKind, ZooInput};
-use mx_nn::plan::{CompiledPlan, PlanArena, PlanInput};
+use mx_models::zoo::{BatchModel, InputKind};
+use mx_nn::plan::{CompiledPlan, PlanArena, PlanError, PlanInput};
 use mx_nn::qflow::QuantConfig;
 use stats::StatsInner;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -134,8 +139,18 @@ pub enum ServeError {
     /// earlier one that poisoned the model). The worker survives; other
     /// models keep serving.
     ModelPanicked {
-        /// Model name whose `forward_batch` (or quant switch) panicked.
+        /// Model name whose quant switch, weight-token check, or plan
+        /// compile / execute panicked.
         model: String,
+    },
+    /// The model's compiled plan for this batch's key failed to compile
+    /// (e.g. data-dependent routing has no lowering) or to execute. There
+    /// is no fallback path: every request of the batch gets this error.
+    PlanFailed {
+        /// Model name whose plan failed.
+        model: String,
+        /// Why the plan failed.
+        error: PlanError,
     },
     /// The model returned a buffer whose length is not
     /// `batch · output_len(len)`, so per-request rows cannot be sliced
@@ -177,6 +192,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::ModelPanicked { model } => {
                 write!(f, "model {model:?} panicked while executing a batch")
+            }
+            ServeError::PlanFailed { model, error } => {
+                write!(f, "model {model:?} failed its compiled plan: {error}")
             }
             ServeError::BadModelOutput {
                 model,
@@ -220,20 +238,6 @@ struct Batch {
     jobs: Vec<Job>,
 }
 
-/// Whether workers execute batches through compiled plans (the `MX_PLAN`
-/// knob; default on — `0` / `off` / `false` falls back to the dynamic
-/// layer-walk everywhere, which is bit-identical but repays per-batch
-/// planning, gating, and allocation).
-fn plan_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            mx_core::knobs::raw("MX_PLAN").as_deref(),
-            Some("0" | "off" | "false")
-        )
-    })
-}
-
 /// Soft cap on cached plans per model: `formats × buckets` in practice is
 /// far below this; the cap only bounds a pathological client that cycles
 /// through many distinct configs.
@@ -246,22 +250,14 @@ thread_local! {
     static PLAN_ARENA: RefCell<PlanArena> = RefCell::new(PlanArena::new());
 }
 
-/// State of one plan-cache slot. `Failed` is negative caching: a key the
-/// model cannot lower (unsupported format pair, data-dependent routing) is
-/// probed once and then served dynamically without re-planning per batch.
-enum PlanState {
-    /// A compiled plan plus the weight-generation token it was built at.
-    Ready { plan: Arc<CompiledPlan>, token: u64 },
-    /// Plan compilation failed for this key; use the dynamic path.
-    Failed,
-}
-
-/// One cached plan keyed by `(QuantConfig, bucket len, padded batch)`.
+/// One cached plan keyed by `(QuantConfig, bucket len, padded batch)`,
+/// plus the weight-generation token it was compiled at.
 struct PlanSlot {
     cfg: QuantConfig,
     len: usize,
     eff: usize,
-    state: PlanState,
+    token: u64,
+    plan: Arc<CompiledPlan>,
 }
 
 /// A registered model plus the request contract captured at
@@ -422,8 +418,9 @@ impl Server {
 
 /// One shard's batcher: drains whatever is queued, answers expired
 /// requests, groups the rest by `(model, QuantConfig, bucket len)` in
-/// arrival order, and emits batches of at most `max_batch` requests onto
-/// the shard's bounded batch channel. Every drained job is flushed each
+/// arrival order, and emits batches of at most `max_batch` requests (one,
+/// for a config that is not [`QuantConfig::batch_invariant`]) onto the
+/// shard's bounded batch channel. Every drained job is flushed each
 /// round — partial groups become ragged batches rather than waiting for
 /// stragglers, so a burst of synchronous clients can never deadlock behind
 /// a half-full batch.
@@ -486,10 +483,11 @@ fn dispatch_loop(
                 out_len,
                 jobs,
             } = group;
-            let mut chunk = Vec::with_capacity(max_batch.min(jobs.len()));
+            let cap = if cfg.batch_invariant() { max_batch } else { 1 };
+            let mut chunk = Vec::with_capacity(cap.min(jobs.len()));
             for job in jobs {
                 chunk.push(job);
-                if chunk.len() == max_batch
+                if chunk.len() == cap
                     && batch_tx
                         .send(Batch {
                             model,
@@ -603,8 +601,9 @@ fn run_batch(
     let entry = registry.get(batch.model).ok_or(ServeError::Disconnected)?; // index minted at submit; defensive
     let n = batch.jobs.len();
     // Padding keeps the executed GEMM at the full batch shape; the padded
-    // rows are zero requests whose outputs are sliced away below.
-    let eff = if config.pad_batches {
+    // rows are zero requests whose outputs are sliced away below. A config
+    // whose per-tensor scale would see the padding is never padded.
+    let eff = if config.pad_batches && batch.cfg.batch_invariant() {
         config.max_batch
     } else {
         n
@@ -630,7 +629,7 @@ fn run_batch(
             forward_guarded(
                 entry,
                 batch.cfg,
-                ZooInput::Tokens(&buf),
+                PlanInput::Tokens(&buf),
                 batch.len,
                 eff,
                 stats,
@@ -652,7 +651,7 @@ fn run_batch(
             forward_guarded(
                 entry,
                 batch.cfg,
-                ZooInput::Pixels(&buf),
+                PlanInput::Pixels(&buf),
                 batch.len,
                 eff,
                 stats,
@@ -674,16 +673,16 @@ fn run_batch(
     Ok(out.chunks(per_out).take(n).map(<[f32]>::to_vec).collect())
 }
 
-/// Locks the model and runs `set_quant` + the planned (or dynamic)
-/// forward with a panic guard. A panic inside the model poisons its mutex
-/// (the guard is moved into the unwinding closure and dropped mid-panic),
-/// so later batches for the same model fail fast with
-/// [`ServeError::ModelPanicked`] while the worker — and every other model
-/// — keeps running.
+/// Locks the model and runs `set_quant` + the compiled plan with a panic
+/// guard. A panic inside the model poisons its mutex (the guard is moved
+/// into the unwinding closure and dropped mid-panic), so later batches for
+/// the same model fail fast with [`ServeError::ModelPanicked`] while the
+/// worker — and every other model — keeps running. A plan that fails to
+/// compile or execute is a [`ServeError::PlanFailed`].
 fn forward_guarded(
     entry: &ModelEntry,
     cfg: QuantConfig,
-    input: ZooInput<'_>,
+    input: PlanInput<'_>,
     len: usize,
     eff: usize,
     stats: &StatsInner,
@@ -696,103 +695,59 @@ fn forward_guarded(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let mut model = guard;
         // Per-request format selection = direct cast on the shared model.
-        // Weights are untouched, so each format's cached weight plane stays
-        // warm across config switches.
+        // Plans carry their own config, so this only keeps the model's
+        // dynamic state in step with what it serves; weights are untouched,
+        // so each format's lowered weights stay warm across switches.
         model.set_quant(cfg);
-        if let Some(out) = planned_forward(entry, &mut **model, cfg, &input, len, eff, stats) {
-            return out;
-        }
-        model.forward_batch(input, eff)
+        let plan = cached_plan(entry, &mut **model, cfg, len, eff, stats)?;
+        PLAN_ARENA.with(|arena| plan.execute(input, &mut arena.borrow_mut()))
     }))
     .map_err(|_| ServeError::ModelPanicked {
         model: entry.name.clone(),
+    })?
+    .map_err(|error| ServeError::PlanFailed {
+        model: entry.name.clone(),
+        error,
     })
 }
 
-/// Executes the batch through the model's compiled-plan cache. `None`
-/// means "take the dynamic layer-walk" — the knob is off, the key is
-/// unplannable, or the plan failed at execute time; correctness never
-/// depends on the planner, only steady-state overhead does.
+/// Returns the model's compiled plan for `(cfg, len, eff)`, compiling and
+/// caching it on a miss. A slot whose weight-generation token moved (an
+/// optimizer step, a hot-swap) is evicted and recompiled. A compile error
+/// is not cached: the next batch of the key tries again.
 ///
 /// Called with the model mutex held, so the weight-generation token, the
 /// cache lookup, and any recompile are atomic with respect to other
 /// batches of the same model.
-#[allow(clippy::too_many_arguments)] // mirrors forward_guarded's signature
-fn planned_forward(
+fn cached_plan(
     entry: &ModelEntry,
     model: &mut dyn BatchModel,
     cfg: QuantConfig,
-    input: &ZooInput<'_>,
     len: usize,
     eff: usize,
     stats: &StatsInner,
-) -> Option<Vec<f32>> {
-    if !plan_enabled() {
-        return None;
-    }
+) -> Result<Arc<CompiledPlan>, PlanError> {
     let token = model.plan_token();
     let mut plans = entry.plans.lock().unwrap_or_else(|p| p.into_inner());
-    // Evict a slot whose weights moved since compilation (an optimizer
-    // step, a hot-swap): the recompile below picks up the new weights.
-    if let Some(i) = plans
-        .iter()
-        .position(|s| s.cfg == cfg && s.len == len && s.eff == eff)
-    {
-        let stale = matches!(
-            plans.get(i).map(|s| &s.state),
-            Some(PlanState::Ready { token: t, .. }) if *t != token
-        );
-        if stale {
-            plans.swap_remove(i);
-        }
+    let key = |s: &PlanSlot| s.cfg == cfg && s.len == len && s.eff == eff;
+    if let Some(slot) = plans.iter().find(|s| key(s) && s.token == token) {
+        stats.record_plan_hit();
+        return Ok(Arc::clone(&slot.plan));
     }
-    let plan = match plans
-        .iter()
-        .find(|s| s.cfg == cfg && s.len == len && s.eff == eff)
-    {
-        Some(slot) => match &slot.state {
-            PlanState::Ready { plan, .. } => {
-                stats.record_plan_hit();
-                Arc::clone(plan)
-            }
-            PlanState::Failed => return None,
-        },
-        None => {
-            if plans.len() >= PLAN_CACHE_CAP {
-                plans.remove(0); // oldest-first soft eviction
-            }
-            match model.compile_plan(cfg, eff, len) {
-                Ok(plan) => {
-                    let plan = Arc::new(plan);
-                    plans.push(PlanSlot {
-                        cfg,
-                        len,
-                        eff,
-                        state: PlanState::Ready {
-                            plan: Arc::clone(&plan),
-                            token,
-                        },
-                    });
-                    plan
-                }
-                Err(_) => {
-                    plans.push(PlanSlot {
-                        cfg,
-                        len,
-                        eff,
-                        state: PlanState::Failed,
-                    });
-                    return None;
-                }
-            }
-        }
-    };
-    drop(plans);
-    let pin = match input {
-        ZooInput::Tokens(t) => PlanInput::Tokens(t),
-        ZooInput::Pixels(p) => PlanInput::Pixels(p),
-    };
-    PLAN_ARENA.with(|arena| plan.execute(pin, &mut arena.borrow_mut()).ok())
+    // A slot for this key whose weights moved since compilation is dead.
+    plans.retain(|s| !key(s));
+    if plans.len() >= PLAN_CACHE_CAP {
+        plans.remove(0); // oldest-first soft eviction
+    }
+    let plan = Arc::new(model.compile_plan(cfg, eff, len)?);
+    plans.push(PlanSlot {
+        cfg,
+        len,
+        eff,
+        token,
+        plan: Arc::clone(&plan),
+    });
+    Ok(plan)
 }
 
 /// Client handle to a running server: submit requests (from any thread —
@@ -984,7 +939,7 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mx_models::zoo::DenseGemm;
+    use mx_models::zoo::{DenseGemm, ZooInput};
     use mx_nn::TensorFormat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1109,39 +1064,28 @@ mod tests {
         assert_eq!(p.wait().unwrap().len(), 16);
     }
 
-    /// Pixel model that panics when a request's first feature is the magic
-    /// value, and otherwise echoes `input_len` zeros per request — the
-    /// misbehaving-tenant stand-in for the fault-isolation tests.
-    struct Grenade;
+    /// Pixel model that plans like a 4 → `width` dense layer, promises
+    /// `promised` outputs per request, and runs `act` once per batch: the
+    /// server reads `plan_token` once per batch under the model lock, so
+    /// that is where a misbehaving tenant's fault fires.
+    struct Fake {
+        inner: DenseGemm,
+        promised: usize,
+        act: Box<dyn FnMut() + Send>,
+    }
 
-    impl BatchModel for Grenade {
-        fn input_kind(&self) -> InputKind {
-            InputKind::Pixels
-        }
-
-        fn input_len(&self) -> usize {
-            4
-        }
-
-        fn output_len(&self, _len: usize) -> usize {
-            2
-        }
-
-        fn set_quant(&mut self, _cfg: QuantConfig) {}
-
-        fn forward_batch(&mut self, input: ZooInput<'_>, batch: usize) -> Vec<f32> {
-            let ZooInput::Pixels(px) = input else {
-                panic!("pixels expected")
-            };
-            assert!(!px.first().is_some_and(|&v| v == 13.0), "boom");
-            vec![0.0; batch * 2]
+    impl Fake {
+        fn new(width: usize, promised: usize, act: impl FnMut() + Send + 'static) -> Self {
+            let mut rng = StdRng::seed_from_u64(8);
+            Fake {
+                inner: DenseGemm::new(&mut rng, 4, width, QuantConfig::fp32()),
+                promised,
+                act: Box::new(act),
+            }
         }
     }
 
-    /// Model whose output violates the `batch · output_len(len)` contract.
-    struct ShortChanger;
-
-    impl BatchModel for ShortChanger {
+    impl BatchModel for Fake {
         fn input_kind(&self) -> InputKind {
             InputKind::Pixels
         }
@@ -1151,21 +1095,52 @@ mod tests {
         }
 
         fn output_len(&self, _len: usize) -> usize {
-            8
+            self.promised
         }
 
-        fn set_quant(&mut self, _cfg: QuantConfig) {}
+        fn set_quant(&mut self, cfg: QuantConfig) {
+            self.inner.set_quant(cfg);
+        }
 
         fn forward_batch(&mut self, _input: ZooInput<'_>, _batch: usize) -> Vec<f32> {
-            vec![1.0; 3] // never batch · 8
+            unreachable!("the server only executes compiled plans")
         }
+
+        fn compile_plan(
+            &self,
+            cfg: QuantConfig,
+            batch: usize,
+            len: usize,
+        ) -> Result<CompiledPlan, PlanError> {
+            self.inner.compile_plan(cfg, batch, len)
+        }
+
+        fn plan_token(&mut self) -> u64 {
+            (self.act)();
+            self.inner.plan_token()
+        }
+    }
+
+    /// Serves two outputs per request and panics on its second batch.
+    fn grenade() -> Fake {
+        let mut batches = 0;
+        Fake::new(2, 2, move || {
+            batches += 1;
+            assert!(batches != 2, "boom");
+        })
+    }
+
+    /// Promises 8 outputs per request but plans a 4 → 3 layer, so its
+    /// output never matches the `batch · output_len(len)` contract.
+    fn short_changer() -> Fake {
+        Fake::new(3, 8, || {})
     }
 
     #[test]
     fn model_panic_answers_requests_and_spares_other_models() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut server = Server::new(ServerConfig::default());
-        server.register("grenade", Box::new(Grenade));
+        server.register("grenade", Box::new(grenade()));
         server.register(
             "dense",
             Box::new(DenseGemm::new(&mut rng, 32, 16, QuantConfig::fp32())),
@@ -1178,8 +1153,8 @@ mod tests {
         let ok = handle.infer(grenade(vec![0.0; 4])).unwrap();
         assert_eq!(ok, vec![0.0, 0.0]);
 
-        // Trigger the panic: the client gets an error, not a hang, and the
-        // worker thread survives.
+        // The second batch trips the fault: the client gets an error, not a
+        // hang, and the worker thread survives.
         let err = handle
             .infer(grenade(vec![13.0, 0.0, 0.0, 0.0]))
             .unwrap_err();
@@ -1208,7 +1183,7 @@ mod tests {
     #[test]
     fn bad_output_length_is_an_error_not_a_worker_crash() {
         let mut server = Server::new(ServerConfig::default());
-        server.register("short", Box::new(ShortChanger));
+        server.register("short", Box::new(short_changer()));
         let handle = server.start().unwrap();
         let req = || Request::new("short", RequestInput::Pixels(vec![0.0; 4])).quant(mx6());
         let err = handle.infer(req()).unwrap_err();
@@ -1223,6 +1198,36 @@ mod tests {
         // The worker survives to answer another (still broken) request.
         let err = handle.infer(req()).unwrap_err();
         assert!(matches!(err, ServeError::BadModelOutput { .. }));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn unplannable_model_answers_every_request_with_plan_failed() {
+        use mx_models::gpt::{Gpt, GptConfig};
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut server = Server::new(ServerConfig::default().max_batch(4));
+        // Top-1 expert routing is data-dependent: no plan lowering.
+        server.register(
+            "moe",
+            Box::new(Gpt::new(&mut rng, GptConfig::moe(0, 4), mx6())),
+        );
+        let handle = server.start().unwrap();
+        let req = || Request::new("moe", RequestInput::Tokens(vec![1; 8])).quant(mx6());
+        // Compile errors are not cached: the second burst re-plans and
+        // fails the same typed way.
+        for _ in 0..2 {
+            let pending: Vec<Pending> = (0..3).map(|_| handle.submit(req()).unwrap()).collect();
+            for p in pending {
+                assert!(matches!(
+                    p.wait(),
+                    Err(ServeError::PlanFailed {
+                        error: PlanError::Unsupported(_),
+                        ..
+                    })
+                ));
+            }
+        }
+        assert_eq!(handle.stats().completed, 6);
         handle.shutdown();
     }
 

@@ -9,8 +9,8 @@
 //! wait on a shard from the shard's queue depth, its per-request service
 //! EWMA, and the per-`(model, bucket)` batch service EWMA. Pack counters
 //! come from `mx_nn::qflow::plane_cache_counters` — process-wide tallies of
-//! weight code-plane lowerings skipped (cache hit) vs performed —
-//! snapshotted at server start so the reported numbers are deltas
+//! weight lowerings (code planes and casts) skipped (cache hit) vs
+//! performed — snapshotted at server start so the reported numbers are deltas
 //! attributable to this server's lifetime.
 
 use std::collections::HashMap;
@@ -260,7 +260,8 @@ pub struct ServeStats {
     /// Requests whose deadline expired before execution
     /// ([`crate::ServeError::DeadlineExceeded`]).
     pub expired: u64,
-    /// Batches executed (each is one coalesced `forward_batch` call).
+    /// Batches executed (each is one coalesced compiled-plan execution,
+    /// or one typed error answered to every member request).
     pub batches: u64,
     /// `batch_histogram[s - 1]` = number of executed batches that coalesced
     /// `s` requests (pre-padding); length is the server's `max_batch`.
@@ -271,10 +272,11 @@ pub struct ServeStats {
     pub p99_latency_us: u64,
     /// 99.9th-percentile end-to-end request latency, microseconds.
     pub p999_latency_us: u64,
-    /// Weight code-plane packs *skipped* because a cached plane was shared
-    /// (across requests, batches, and formats) since the server started.
+    /// Weight lowerings (code planes and casts) *skipped* because a cached
+    /// entry was shared (across requests, batches, plans, and formats)
+    /// since the server started.
     pub packs_avoided: u64,
-    /// Weight code-plane packs actually performed since the server started
+    /// Weight lowerings actually performed since the server started
     /// (ideally: one per model × weight-format pair).
     pub packs_performed: u64,
     /// Execution plans compiled since the server started (ideally: one per
@@ -284,8 +286,8 @@ pub struct ServeStats {
     /// steady-state path that does zero planning, gating, or allocation
     /// beyond the per-worker arena.
     pub plan_cache_hits: u64,
-    /// Weight-side `pack_cols` lowerings hoisted to plan time since the
-    /// server started (each one removed from every subsequent batch).
+    /// Weight lowerings pinned at plan time since the server started (each
+    /// one removed from every subsequent batch).
     pub prepack_hoists: u64,
     /// Scratch-arena bytes laid out by plan compilation since the server
     /// started (liveness-ordered high-water total, not live memory).

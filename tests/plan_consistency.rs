@@ -1,12 +1,14 @@
 //! Bit-identity suite for compiled execution plans: for every zoo model ×
 //! preset format pair × batch bucket, executing the [`CompiledPlan`]
 //! produced by `BatchModel::compile_plan` must match the dynamic
-//! layer-walk (`forward_batch`) to the bit. Also covers the hoisted
-//! format-support gate (typed plan-time errors instead of silent per-call
-//! fallbacks), plan-cache invalidation via the weight-generation token,
-//! and concurrent execution of one shared plan from many threads with
-//! per-worker arenas.
+//! layer-walk (`forward_batch`) to the bit — every format pair plans,
+//! code-domain or not. Also covers the typed plan-time errors for
+//! unplannable model structure, plan-cache invalidation via the
+//! weight-generation token, and concurrent execution of one shared plan
+//! from many threads with per-worker arenas.
 
+use mx::core::bdr::BdrFormat;
+use mx::core::scalar::ScalarFormat;
 use mx::models::bert::BertQa;
 use mx::models::data;
 use mx::models::gpt::{Gpt, GptConfig};
@@ -18,8 +20,13 @@ use mx::nn::tensor::Tensor;
 use mx::nn::TensorFormat;
 use std::sync::Arc;
 
-/// The preset format pairs the serving layer direct-casts between.
+/// The preset format pairs the serving layer direct-casts between: the
+/// code-domain MX pairs plus every kind of pair that plans through
+/// pre-cast weights.
 fn presets() -> Vec<QuantConfig> {
+    let fp8 = TensorFormat::ScalarScaled(ScalarFormat::E4M3);
+    // k1 = 32 against MX6's k1 = 16: a block pair with no code-domain path.
+    let bdr32 = TensorFormat::Bdr(BdrFormat::new(4, 8, 1, 32, 2).expect("valid format"));
     vec![
         QuantConfig::fp32(),
         QuantConfig::uniform(TensorFormat::MX9),
@@ -27,6 +34,11 @@ fn presets() -> Vec<QuantConfig> {
         QuantConfig::uniform(TensorFormat::MX4),
         QuantConfig::weights_activations(TensorFormat::MX6, TensorFormat::MX6),
         QuantConfig::weights_activations(TensorFormat::MX4, TensorFormat::MX9),
+        QuantConfig::uniform(TensorFormat::Bf16),
+        QuantConfig::weights_activations(TensorFormat::MX4, TensorFormat::Fp32),
+        QuantConfig::weights_activations(TensorFormat::Bf16, TensorFormat::MX6),
+        QuantConfig::weights_activations(fp8, fp8),
+        QuantConfig::weights_activations(bdr32, TensorFormat::MX6),
     ]
 }
 
@@ -65,37 +77,20 @@ fn check_model<M: BatchModel>(
                 .compile_plan(cfg, batch, len)
                 .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
             let mut arena = PlanArena::new();
-            let (dynamic, planned) = match vocab {
-                Some(v) => {
-                    let toks = tokens_for(batch, len, v, batch + len);
-                    (
-                        model.forward_batch(ZooInput::Tokens(&toks), batch),
-                        plan.execute(PlanInput::Tokens(&toks), &mut arena),
-                    )
-                }
-                None => {
-                    let px = pixels_for(batch, len, batch);
-                    (
-                        model.forward_batch(ZooInput::Pixels(&px), batch),
-                        plan.execute(PlanInput::Pixels(&px), &mut arena),
-                    )
-                }
+            let toks = vocab.map(|v| tokens_for(batch, len, v, batch + len));
+            let px = pixels_for(batch, len, batch);
+            let (zoo, input) = match &toks {
+                Some(t) => (ZooInput::Tokens(t), PlanInput::Tokens(t)),
+                None => (ZooInput::Pixels(&px), PlanInput::Pixels(&px)),
             };
-            let planned = planned.unwrap_or_else(|e| panic!("{ctx}: execute failed: {e}"));
+            let dynamic = model.forward_batch(zoo, batch);
+            let planned = plan
+                .execute(input, &mut arena)
+                .unwrap_or_else(|e| panic!("{ctx}: execute failed: {e}"));
             assert_eq!(planned.len(), batch * model.output_len(len), "{ctx}");
             assert_bits_eq(&planned, &dynamic, &ctx);
             // A second execute over the warm arena must not drift.
-            let again = match vocab {
-                Some(v) => {
-                    let toks = tokens_for(batch, len, v, batch + len);
-                    plan.execute(PlanInput::Tokens(&toks), &mut arena)
-                }
-                None => {
-                    let px = pixels_for(batch, len, batch);
-                    plan.execute(PlanInput::Pixels(&px), &mut arena)
-                }
-            }
-            .expect("warm re-execute");
+            let again = plan.execute(input, &mut arena).expect("warm re-execute");
             assert_bits_eq(&again, &dynamic, &format!("{ctx} (warm arena)"));
         }
     }
@@ -176,19 +171,11 @@ fn repeated_layers_share_templates() {
     assert_eq!(plan.template_count(), 2, "conv stages must dedupe");
 }
 
-/// The format-support gate is hoisted to plan time: a pair with neither an
-/// identity nor a code-domain path fails compilation with a typed error,
-/// and MoE routing is refused up front.
+/// Only a model's structure can refuse to plan: MoE routing is refused up
+/// front with a typed error.
 #[test]
 fn unplannable_configurations_fail_with_typed_errors() {
     let mut rng = rand::SeedableRng::seed_from_u64(36);
-    let bf16 = QuantConfig::uniform(TensorFormat::Bf16);
-    let m = DenseGemm::new(&mut rng, 32, 8, bf16);
-    match m.compile_plan(bf16, 1, 32) {
-        Err(PlanError::UnsupportedFormats { .. }) => {}
-        other => panic!("expected UnsupportedFormats, got {other:?}"),
-    }
-
     let moe = Gpt::new(
         &mut rng,
         GptConfig::moe(0, 4),

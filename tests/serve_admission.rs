@@ -2,82 +2,94 @@
 //! backpressure, overload sheds with a **typed** rejection (never a silent
 //! drop), expired deadlines are answered with `DeadlineExceeded`, and the
 //! latency-SLO gate orders traffic by priority. The tests drive the
-//! controller with purpose-built models — a `Gate` that blocks its worker
-//! until released and a `Sleeper` with a known service time — so every
+//! controller with purpose-built models — a gate that blocks its worker
+//! until released and a sleeper with a known service time — so every
 //! assertion is about *which* typed outcome arrives, not about wall-clock
 //! racing.
 
-use mx::models::zoo::{BatchModel, InputKind, ZooInput};
+use mx::models::zoo::{BatchModel, DenseGemm, InputKind, ZooInput};
+use mx::nn::plan::{CompiledPlan, PlanError};
 use mx::nn::qflow::QuantConfig;
 use mx::serve::{
     AdmissionConfig, Priority, Request, RequestInput, ServeError, Server, ServerConfig,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Pixel model that parks its worker on a channel until the test releases
-/// (or drops) the sender — the stand-in for a slow tenant that lets the
-/// test fill queues deterministically.
-struct Gate {
-    release: mpsc::Receiver<()>,
+/// A pixel model that serves like a 4 → 1 dense layer (plans included)
+/// and runs `act` once per batch. The server reads `plan_token` once per
+/// batch under the model lock, so that is where the act happens.
+struct Fake {
+    inner: DenseGemm,
+    act: Box<dyn FnMut() + Send>,
 }
 
-impl Gate {
-    fn new() -> (mpsc::Sender<()>, Self) {
-        let (tx, release) = mpsc::channel();
-        (tx, Gate { release })
+impl Fake {
+    fn new(act: impl FnMut() + Send + 'static) -> Self {
+        Fake {
+            inner: DenseGemm::new(&mut StdRng::seed_from_u64(5), 4, 1, QuantConfig::fp32()),
+            act: Box::new(act),
+        }
     }
 }
 
-impl BatchModel for Gate {
+impl BatchModel for Fake {
     fn input_kind(&self) -> InputKind {
-        InputKind::Pixels
+        self.inner.input_kind()
     }
 
     fn input_len(&self) -> usize {
-        4
+        self.inner.input_len()
     }
 
-    fn output_len(&self, _len: usize) -> usize {
-        1
+    fn output_len(&self, len: usize) -> usize {
+        self.inner.output_len(len)
     }
 
-    fn set_quant(&mut self, _cfg: QuantConfig) {}
+    fn set_quant(&mut self, cfg: QuantConfig) {
+        self.inner.set_quant(cfg);
+    }
 
-    fn forward_batch(&mut self, _input: ZooInput<'_>, batch: usize) -> Vec<f32> {
-        // Blocks until the test sends a token or drops the sender; either
-        // way the batch then completes normally.
-        let _ = self.release.recv();
-        vec![0.0; batch]
+    fn forward_batch(&mut self, _input: ZooInput<'_>, _batch: usize) -> Vec<f32> {
+        unreachable!("the server only executes compiled plans")
+    }
+
+    fn compile_plan(
+        &self,
+        cfg: QuantConfig,
+        batch: usize,
+        len: usize,
+    ) -> Result<CompiledPlan, PlanError> {
+        self.inner.compile_plan(cfg, batch, len)
+    }
+
+    fn plan_token(&mut self) -> u64 {
+        (self.act)();
+        self.inner.plan_token()
     }
 }
 
-/// Pixel model with a fixed, known service time, used to seed the
+/// The gate: a model that parks its worker until the test releases (or
+/// drops) the sender — the stand-in for a slow tenant that lets the test
+/// fill queues deterministically. Either way the batch then completes
+/// normally.
+fn gate() -> (mpsc::Sender<()>, Fake) {
+    let (tx, release) = mpsc::channel::<()>();
+    (
+        tx,
+        Fake::new(move || {
+            let _ = release.recv();
+        }),
+    )
+}
+
+/// The sleeper: a model with a fixed, known service time, used to seed the
 /// admission controller's service-time EWMAs with a predictable value.
-struct Sleeper {
-    service: Duration,
-}
-
-impl BatchModel for Sleeper {
-    fn input_kind(&self) -> InputKind {
-        InputKind::Pixels
-    }
-
-    fn input_len(&self) -> usize {
-        4
-    }
-
-    fn output_len(&self, _len: usize) -> usize {
-        1
-    }
-
-    fn set_quant(&mut self, _cfg: QuantConfig) {}
-
-    fn forward_batch(&mut self, _input: ZooInput<'_>, batch: usize) -> Vec<f32> {
-        std::thread::sleep(self.service);
-        vec![0.0; batch]
-    }
+fn sleeper(service: Duration) -> Fake {
+    Fake::new(move || std::thread::sleep(service))
 }
 
 fn px() -> RequestInput {
@@ -86,7 +98,7 @@ fn px() -> RequestInput {
 
 #[test]
 fn bounded_queue_backpressure_blocks_submitters() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, gate) = gate();
     let mut server = Server::new(
         ServerConfig::default()
             .workers(1)
@@ -140,7 +152,7 @@ fn bounded_queue_backpressure_blocks_submitters() {
 
 #[test]
 fn full_queue_sheds_with_typed_overloaded_and_never_silently_drops() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, gate) = gate();
     let mut server = Server::new(
         ServerConfig::default()
             .workers(1)
@@ -191,7 +203,7 @@ fn full_queue_sheds_with_typed_overloaded_and_never_silently_drops() {
 
 #[test]
 fn expired_deadlines_get_deadline_exceeded() {
-    let (gate_tx, gate) = Gate::new();
+    let (gate_tx, gate) = gate();
     let mut server = Server::new(ServerConfig::default().workers(1).max_batch(1));
     server.register("gate", Box::new(gate));
     let handle = server.start().expect("valid config");
@@ -247,7 +259,7 @@ fn slo_admission_orders_traffic_by_priority() {
             .max_batch(1)
             .admission(AdmissionConfig::new().slo(Duration::from_millis(58))),
     );
-    server.register("sleepy", Box::new(Sleeper { service }));
+    server.register("sleepy", Box::new(sleeper(service)));
     let handle = server.start().expect("valid config");
 
     // Cold shard: the estimate is zero, so the seeding request is admitted.
@@ -286,7 +298,7 @@ fn slo_admission_orders_traffic_by_priority() {
             .max_batch(1)
             .admission(AdmissionConfig::new().slo(Duration::from_millis(10))),
     );
-    server.register("sleepy", Box::new(Sleeper { service }));
+    server.register("sleepy", Box::new(sleeper(service)));
     let handle = server.start().expect("valid config");
     handle
         .infer(Request::new("sleepy", px()))

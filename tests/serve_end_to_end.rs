@@ -5,10 +5,12 @@
 //! running that request alone on an identically constructed model
 //! (bucket-padded requests compare against the same padded request run
 //! alone, sliced back to the request's own length). Also covers the
-//! serving telemetry (`ServeStats`) and the weight-plane sharing the
-//! batcher exists to exploit.
+//! serving telemetry (`ServeStats`), the weight sharing the batcher exists
+//! to exploit, and the one-request batches that keep per-tensor-scaled
+//! formats batch-invariant.
 
 use mx::core::gemm::{force_kernel_backend, kernel_backend_name, KernelBackend};
+use mx::core::scalar::ScalarFormat;
 use mx::models::bert::BertQa;
 use mx::models::data;
 use mx::models::gpt::{Gpt, GptConfig};
@@ -31,6 +33,7 @@ fn format_cycle() -> Vec<QuantConfig> {
         QuantConfig::weights_activations(TensorFormat::MX9, TensorFormat::MX9),
         QuantConfig::weights_activations(TensorFormat::MX9, TensorFormat::MX4),
         QuantConfig::fp32(),
+        QuantConfig::weights_activations(TensorFormat::Bf16, TensorFormat::Bf16),
     ]
 }
 
@@ -346,6 +349,42 @@ fn ragged_and_padded_batches_are_semantically_invisible() {
     }
 }
 
+/// Per-tensor-scaled activations (scaled FP8) put one amax over the whole
+/// batched tensor, so coalescing would make a request's bits depend on its
+/// batch partners and on padding rows. The server runs such configs one
+/// request per batch, never padded, so every answer in a burst equals its
+/// serial run.
+#[test]
+fn per_tensor_scaled_requests_match_serial_answers_in_a_burst() {
+    let fp8 = TensorFormat::ScalarScaled(ScalarFormat::E4M3);
+    let cfg = QuantConfig::weights_activations(fp8, fp8);
+    let dense = || DenseGemm::new(&mut StdRng::seed_from_u64(41), 48, 24, QuantConfig::fp32());
+    // Distinct magnitudes: every request has its own amax.
+    let requests: Vec<(QuantConfig, RequestInput)> = (0..8)
+        .map(|i| {
+            let row = (0..48).map(|j| ((i + j) as f32 * 0.29).sin() * (i + 1) as f32);
+            (cfg, RequestInput::Pixels(row.collect()))
+        })
+        .collect();
+    let want = serial_reference(&mut dense(), &requests);
+    for pad_batches in [false, true] {
+        let mut server = Server::new(
+            ServerConfig::default()
+                .max_batch(4)
+                .pad_batches(pad_batches),
+        );
+        server.register("dense", Box::new(dense()));
+        let handle = server.start().expect("valid config");
+        let got = run_burst(&handle, "dense", &requests);
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert_bits_eq(g, w, &format!("pad={pad_batches}, request {i}"));
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.batches, 8, "one request per batch");
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn mixed_zoo_serving_matches_per_request_serial_execution() {
     let qa_seq = 12;
@@ -454,12 +493,11 @@ fn weight_planes_are_shared_across_requests_and_formats() {
         assert_bits_eq(&y9, &warm9, &format!("MX9 round {round}"));
     }
     let after = handle.stats();
-    // Each warm request must reuse lowered weights: under compiled plans
-    // (the default) it hits the plan cache, whose plan pinned the weight
-    // plane at compile time; with `MX_PLAN` off it skips the pack via the
-    // qflow plane cache. Either way no warm batch re-lowers weights.
-    // (The pack counters are process-wide, so concurrent suites can only
-    // inflate them — the ≥ direction is race-free.)
+    // Each warm request must reuse lowered weights: it hits the plan
+    // cache, whose plan pinned the tensor's cached weight plane at compile
+    // time, so no warm batch re-lowers weights. (The pack counters are
+    // process-wide, so concurrent suites can only inflate them — the ≥
+    // direction is race-free.)
     let reused = after.packs_avoided.saturating_sub(before.packs_avoided)
         + after.plan_cache_hits.saturating_sub(before.plan_cache_hits);
     assert!(
