@@ -24,7 +24,7 @@
 //!
 //! Results are recorded in `results/kernel_sweep.md`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use mx_bench::bench_threads;
 use mx_core::bdr::BdrFormat;
 use mx_core::fgemm;
@@ -38,6 +38,36 @@ use std::hint::black_box;
 const K: usize = 512;
 const N: usize = 2048;
 
+/// A fused-GEMM case: bench name, forced backend, and a setup / teardown
+/// pair of forcing calls around the case.
+type FusedCase = (&'static str, KernelBackend, fn(), fn());
+
+/// The fused-GEMM cases of every group, in bench order. The deferral-off
+/// and VNNI-off variants isolate each speedup layer.
+const FUSED_CASES: [FusedCase; 6] = [
+    ("scalar", KernelBackend::Scalar, || {}, || {}),
+    ("avx2", KernelBackend::Avx2, || {}, || {}),
+    ("avx512", KernelBackend::Avx512, || {}, || {}),
+    (
+        "avx512_bw",
+        KernelBackend::Avx512,
+        || force_vnni(Some(false)),
+        || force_vnni(None),
+    ),
+    (
+        "avx512_nodefer",
+        KernelBackend::Avx512,
+        || force_deferred_scale_out(Some(false)),
+        || force_deferred_scale_out(None),
+    ),
+    (
+        "avx2_nodefer",
+        KernelBackend::Avx2,
+        || force_deferred_scale_out(Some(false)),
+        || force_deferred_scale_out(None),
+    ),
+];
+
 fn test_matrix(len: usize, salt: usize) -> Vec<f32> {
     (0..len)
         .map(|i| {
@@ -46,8 +76,41 @@ fn test_matrix(len: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-fn kernel_sweep(c: &mut Criterion) {
+/// Times the fused execute loop of `m × K` activations against the
+/// `K × N` weights as one case: its backend forced and `setup` applied
+/// first, then the weights packed under that state (so the case measures
+/// its own plane layout), `teardown` and automatic backend selection
+/// restored after. A case whose backend this CPU lacks is skipped.
+fn bench_fused(
+    group: &mut BenchmarkGroup<'_>,
+    (name, backend, setup, teardown): FusedCase,
+    a: &[f32],
+    w: &[f32],
+    m: usize,
+    threads: usize,
+) {
+    if force_kernel_backend(Some(backend)).is_err() {
+        eprintln!("kernel_sweep: skipping {name} (unavailable on this CPU)");
+        return;
+    }
+    force_kernel_backend(None).unwrap();
     let fmt = BdrFormat::MX6;
+    group.bench_function(name, |bench| {
+        force_kernel_backend(Some(backend)).unwrap();
+        setup();
+        let pw = PackedOperand::pack_cols(w, K, N, fmt, fmt).unwrap();
+        let mut scratch = PackScratch::new();
+        bench.iter(|| {
+            black_box(
+                quantized_gemm_prepacked_scratch(a, m, fmt, &pw, threads, &mut scratch).unwrap(),
+            )
+        });
+        teardown();
+        force_kernel_backend(None).unwrap();
+    });
+}
+
+fn kernel_sweep(c: &mut Criterion) {
     let threads = bench_threads(1);
     eprintln!(
         "kernel_sweep: auto-selected backend = {}",
@@ -59,81 +122,9 @@ fn kernel_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("kernel_sweep_m{m}"));
         group.sample_size(10);
         group.throughput(Throughput::Elements((m * N * K) as u64));
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Avx2,
-            KernelBackend::Avx512,
-        ] {
-            if force_kernel_backend(Some(backend)).is_err() {
-                eprintln!(
-                    "kernel_sweep: skipping {} (unavailable on this CPU)",
-                    backend.name()
-                );
-                continue;
-            }
-            group.bench_function(backend.name(), |bench| {
-                force_kernel_backend(Some(backend)).unwrap();
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(
-                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
-                            .unwrap(),
-                    )
-                });
-                force_kernel_backend(None).unwrap();
-            });
+        for case in FUSED_CASES {
+            bench_fused(&mut group, case, &a, &w, m, threads);
         }
-        // Deferral-off and VNNI-off variants isolate each speedup layer;
-        // a variant whose backend this CPU lacks is skipped above already,
-        // so only availability needs re-checking here.
-        if force_kernel_backend(Some(KernelBackend::Avx512)).is_ok() {
-            group.bench_function("avx512_bw", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx512)).unwrap();
-                force_vnni(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(
-                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
-                            .unwrap(),
-                    )
-                });
-                force_vnni(None);
-                force_kernel_backend(None).unwrap();
-            });
-            group.bench_function("avx512_nodefer", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx512)).unwrap();
-                force_deferred_scale_out(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(
-                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
-                            .unwrap(),
-                    )
-                });
-                force_deferred_scale_out(None);
-                force_kernel_backend(None).unwrap();
-            });
-        }
-        if force_kernel_backend(Some(KernelBackend::Avx2)).is_ok() {
-            group.bench_function("avx2_nodefer", |bench| {
-                force_kernel_backend(Some(KernelBackend::Avx2)).unwrap();
-                force_deferred_scale_out(Some(false));
-                let pw = PackedOperand::pack_cols(&w, K, N, fmt, fmt).unwrap();
-                let mut scratch = PackScratch::new();
-                bench.iter(|| {
-                    black_box(
-                        quantized_gemm_prepacked_scratch(&a, m, fmt, &pw, threads, &mut scratch)
-                            .unwrap(),
-                    )
-                });
-                force_deferred_scale_out(None);
-                force_kernel_backend(None).unwrap();
-            });
-        }
-        force_kernel_backend(None).unwrap();
         group.bench_function("fgemm_f32", |bench| {
             bench.iter(|| black_box(fgemm::matmul(&a, &w, m, K, N, threads)))
         });

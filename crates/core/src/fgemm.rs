@@ -462,6 +462,22 @@ mod tests {
                 assert_bits_eq(&par, &serial, &format!("{tier:?} threads={threads}"));
             }
         }
+        // Ragged row splits: `k · n` is just over one parallel grain per
+        // row, so every m ≥ 2 splits — m < threads, a short last span, and
+        // m = 1 (no thread spawned).
+        let (k, n) = (160, 112);
+        let b = ramp(k * n, 7);
+        for m in [1usize, 2, 3, 33] {
+            let a = ramp(m * k, 8 + m);
+            let serial = matmul(&a, &b, m, k, n, 1);
+            for tier in tiers() {
+                for threads in [2usize, 3, 7] {
+                    assert_eq!(gemm_workers(m, n, k, threads) > 1, m > 1, "m={m}");
+                    let par = matmul_on(tier, &a, &b, m, k, n, threads);
+                    assert_bits_eq(&par, &serial, &format!("{tier:?} m={m} threads={threads}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -341,33 +341,25 @@ fn panel_layout(_k1: usize) -> usize {
     0
 }
 
-/// Runs `kernel(start_row, rows, out_span)` over row spans, serially or on
-/// `workers` threads; spans are whole rows, so the output is bit-identical
-/// either way. Shared with the blocked FP32 kernel in [`crate::fgemm`].
+/// Runs `kernel(start_row, rows, out_span)` over row spans of the `m × n`
+/// output, serially or on `workers` threads. Each span writes its own
+/// disjoint rows of `out` in place — the first span on the calling thread,
+/// every other on a scoped thread — and spans are whole rows, so the
+/// output is bit-identical either way. Shared with the blocked FP32 kernel
+/// in [`crate::fgemm`].
 pub(crate) fn dispatch_rows(
     m: usize,
     n: usize,
     workers: usize,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
     kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
-    if workers <= 1 {
-        kernel(0, m, out);
-    } else {
-        let rows_per = m.div_ceil(workers);
-        let spans: Vec<(usize, usize)> = (0..m.div_ceil(rows_per))
-            .map(|w| (w * rows_per, rows_per.min(m - w * rows_per)))
-            .collect();
-        let parts = parallel::map(&spans, workers, |&(start, rows)| {
-            let mut part = vec![0.0f32; rows * n];
-            kernel(start, rows, &mut part);
-            part
-        });
-        out.clear();
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
+    if n == 0 {
+        return;
     }
+    parallel::for_each_span_at(&mut out[..m * n], n, workers, |at, part| {
+        kernel(at / n, part.len() / n, part);
+    });
 }
 
 /// Worker count for an `m × n × k` GEMM under a `threads` budget (`0` = all
@@ -410,10 +402,10 @@ struct FusedGemm<'a> {
 
 impl FusedGemm<'_> {
     /// Runs [`Self::span`] over all `m` rows, serially through the
-    /// caller's tile ring, or row-parallel with small per-worker rings
-    /// (each at most [`STRIP_M`] rows — cheap next to the per-span output
-    /// buffer the parallel dispatch already allocates). Spans are whole
-    /// rows, so the output is bit-identical either way.
+    /// caller's tile ring, or row-parallel with a small ring per span (at
+    /// most [`STRIP_M`] rows each), every span writing its own rows of the
+    /// output in place. Spans are whole rows, so the output is
+    /// bit-identical either way.
     fn run<C: Code>(
         &self,
         m: usize,
@@ -1016,6 +1008,53 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "prepacked threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn ragged_row_splits_are_bit_identical() {
+        // `k · n` is just over one parallel grain per row, so every m ≥ 2
+        // splits: m < threads, a short last span (33 rows over 7 workers
+        // is six spans of 5 and one of 3), and m = 1 (no thread spawned).
+        let fmt = BdrFormat::MX6;
+        let (k, n) = (160, 112);
+        let b = ramp(k * n, 14);
+        let pb = PackedOperand::pack_cols(&b, k, n, fmt, fmt).unwrap();
+        for m in [1usize, 2, 3, 33] {
+            let a = ramp(m * k, 13 + m);
+            let serial = prepacked(&a, m, fmt, &pb, 1).unwrap();
+            for threads in [2usize, 3, 7] {
+                assert_eq!(gemm_workers(m, n, k, threads) > 1, m > 1, "m={m}");
+                let par = prepacked(&a, m, fmt, &pb, threads).unwrap();
+                assert!(
+                    serial
+                        .iter()
+                        .zip(par.iter())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "m={m} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_rows_writes_each_row_once_in_place() {
+        let n = 3;
+        for m in [0usize, 1, 2, 3, 33] {
+            for workers in [1usize, 2, 3, 7] {
+                // One spare row past `m · n` must stay untouched.
+                let mut out = vec![-1.0f32; (m + 1) * n];
+                dispatch_rows(m, n, workers, &mut out, |r0, rows, part| {
+                    assert_eq!(part.len(), rows * n);
+                    for (i, v) in part.iter_mut().enumerate() {
+                        *v += (r0 * n + i) as f32 + 1.0;
+                    }
+                });
+                for (i, &v) in out.iter().enumerate() {
+                    let want = if i < m * n { i as f32 } else { -1.0 };
+                    assert_eq!(v, want, "m={m} workers={workers} slot {i}");
+                }
+            }
         }
     }
 

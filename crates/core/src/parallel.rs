@@ -1,12 +1,13 @@
 //! Shared chunked data-parallel utilities (crossbeam scoped threads).
 //!
-//! Every multi-core code path in the workspace routes through these two
+//! Every multi-core code path in the workspace routes through these
 //! primitives — the quantization engine's value kernels
-//! ([`crate::engine::QuantEngine`]) and the design-space sweep's
+//! ([`crate::engine::QuantEngine`]), the row-parallel GEMMs
+//! ([`crate::gemm`], [`crate::fgemm`]), and the design-space sweep's
 //! Monte-Carlo evaluation — so the partitioning policy (contiguous spans,
 //! order-preserving, no work stealing) lives in exactly one place.
 //!
-//! Both primitives are *deterministic*: work is split into contiguous,
+//! Every primitive is *deterministic*: work is split into contiguous,
 //! caller-aligned spans and every output lands in its input's slot, so the
 //! result is bit-identical to a serial run regardless of thread count or
 //! scheduling.
@@ -21,7 +22,8 @@ pub fn default_threads() -> usize {
 
 /// Splits `data` into at most `threads` contiguous spans whose lengths are
 /// multiples of `align` (except the last, which takes the remainder) and
-/// runs `f` on each span, in parallel.
+/// runs `f` on each span, in parallel: the first span on the calling
+/// thread, every other span on its own scoped thread.
 ///
 /// With `threads <= 1`, or when the data is too small to split, `f` runs
 /// once on the whole slice on the calling thread — no threads are spawned.
@@ -49,21 +51,38 @@ where
     T: Send,
     F: Fn(&mut [T]) + Sync,
 {
+    for_each_span_at(data, align, threads, |_, span| f(span));
+}
+
+/// [`for_each_span_mut`] whose `f` also receives the index in `data` of
+/// its span's first element — for kernels that read inputs at the same
+/// offset as the output span they write.
+///
+/// # Panics
+///
+/// Panics if `align` is zero or if a worker panics.
+pub(crate) fn for_each_span_at<T, F>(data: &mut [T], align: usize, threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
     assert!(align > 0, "span alignment must be nonzero");
     let units = data.len().div_ceil(align);
     let workers = threads.min(units).max(1);
     if workers <= 1 {
         if !data.is_empty() {
-            f(data);
+            f(0, data);
         }
         return;
     }
     let span = units.div_ceil(workers) * align;
+    let (first, rest) = data.split_at_mut(span.min(data.len()));
     crossbeam::thread::scope(|s| {
-        for chunk in data.chunks_mut(span) {
-            let f = &f;
-            s.spawn(move |_| f(chunk));
+        let f = &f;
+        for (i, chunk) in rest.chunks_mut(span).enumerate() {
+            s.spawn(move |_| f((i + 1) * span, chunk));
         }
+        f(0, first);
     })
     .expect("parallel span worker panicked");
 }
@@ -148,6 +167,24 @@ mod tests {
         });
         assert_eq!(xs[0], 16);
         assert_eq!(xs[19], 4);
+    }
+
+    #[test]
+    fn span_offsets_locate_every_span() {
+        for threads in [2, 3, 7] {
+            for len in [1usize, 5, 12, 33] {
+                let mut xs = vec![usize::MAX; len];
+                for_each_span_at(&mut xs, 3, threads, |at, span| {
+                    for (i, x) in span.iter_mut().enumerate() {
+                        *x = at + i;
+                    }
+                });
+                assert!(
+                    xs.iter().enumerate().all(|(i, &x)| x == i),
+                    "threads={threads} len={len}"
+                );
+            }
+        }
     }
 
     #[test]

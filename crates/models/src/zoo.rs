@@ -154,7 +154,10 @@ pub trait BatchModel: Send {
     /// Weight-staleness token: changes whenever any parameter tensor is
     /// mutated (optimizer step, in-place edit). Plan caches key their
     /// entries on this to invalidate stale plans. `mx-serve` reads it once
-    /// per batch, under the model's lock, before the plan lookup.
+    /// per batch, under the model's lock, before the plan lookup: the lock
+    /// is held for the quant switch, this token check and the plan lookup
+    /// or compile, while the plan's execute runs unlocked and concurrently
+    /// with other batches of the same model.
     fn plan_token(&mut self) -> u64;
 }
 

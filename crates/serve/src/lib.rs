@@ -32,8 +32,10 @@
 //! - **compiled plans as the only execution path**: each batch runs the
 //!   model's [`CompiledPlan`] for its `(config, bucket, padded batch)`
 //!   key, compiled on first use and cached per model, over weights lowered
-//!   **once** into `mx-nn`'s per-format weight cache. A plan that fails is
-//!   answered as [`ServeError::PlanFailed`] on every request of the batch.
+//!   **once** into `mx-nn`'s per-format weight cache. The model's lock
+//!   covers only the quant switch and the plan lookup; a shard's workers
+//!   execute plans concurrently. A plan that fails is answered as
+//!   [`ServeError::PlanFailed`] on every request of the batch.
 //!
 //! Batching is **semantically invisible**: under every
 //! [`QuantConfig::batch_invariant`] config, every tensor op on the zoo's
@@ -135,9 +137,12 @@ pub enum ServeError {
         /// Model name the request addressed.
         model: String,
     },
-    /// The model panicked while executing a batch (this request's or an
-    /// earlier one that poisoned the model). The worker survives; other
-    /// models keep serving.
+    /// The model panicked while serving a batch. The model lock is held
+    /// for the quant switch, the weight-token check, and the plan lookup
+    /// or compile; a panic there poisons the model, so this and every
+    /// later batch of it get this error. Execute runs unlocked and
+    /// concurrently; a panic there fails only its own batch. Either way
+    /// the worker survives and other models keep serving.
     ModelPanicked {
         /// Model name whose quant switch, weight-token check, or plan
         /// compile / execute panicked.
@@ -673,12 +678,21 @@ fn run_batch(
     Ok(out.chunks(per_out).take(n).map(<[f32]>::to_vec).collect())
 }
 
-/// Locks the model and runs `set_quant` + the compiled plan with a panic
-/// guard. A panic inside the model poisons its mutex (the guard is moved
+/// Runs one batch through the model's compiled plan. The model mutex is
+/// held only for the quant switch, the weight-token check, and the plan
+/// lookup (or compile on a miss); execute runs unlocked, so a shard's
+/// workers execute the same model's plans concurrently. That is sound
+/// because a [`CompiledPlan`] is immutable and owns its bindings, and each
+/// worker brings its own thread-local [`PlanArena`].
+///
+/// A panic under the lock poisons the model's mutex (the guard is moved
 /// into the unwinding closure and dropped mid-panic), so later batches for
 /// the same model fail fast with [`ServeError::ModelPanicked`] while the
-/// worker — and every other model — keeps running. A plan that fails to
-/// compile or execute is a [`ServeError::PlanFailed`].
+/// worker — and every other model — keeps running. A panic inside execute
+/// answers this batch with [`ServeError::ModelPanicked`] but poisons
+/// nothing: execute never touches model state. A plan that fails to
+/// compile or execute is a [`ServeError::PlanFailed`], counted in
+/// [`ServeStats::plan_failures`].
 fn forward_guarded(
     entry: &ModelEntry,
     cfg: QuantConfig,
@@ -687,38 +701,47 @@ fn forward_guarded(
     eff: usize,
     stats: &StatsInner,
 ) -> Result<Vec<f32>, ServeError> {
-    let Ok(guard) = entry.model.lock() else {
-        return Err(ServeError::ModelPanicked {
-            model: entry.name.clone(),
-        });
+    let panicked = || ServeError::ModelPanicked {
+        model: entry.name.clone(),
     };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+    let plan_failed = |error| {
+        stats.record_plan_failure();
+        ServeError::PlanFailed {
+            model: entry.name.clone(),
+            error,
+        }
+    };
+    let Ok(guard) = entry.model.lock() else {
+        return Err(panicked());
+    };
+    let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let mut model = guard;
         // Per-request format selection = direct cast on the shared model.
         // Plans carry their own config, so this only keeps the model's
         // dynamic state in step with what it serves; weights are untouched,
         // so each format's lowered weights stay warm across switches.
         model.set_quant(cfg);
-        let plan = cached_plan(entry, &mut **model, cfg, len, eff, stats)?;
+        cached_plan(entry, &mut **model, cfg, len, eff, stats)
+    }))
+    .map_err(|_| panicked())?
+    .map_err(plan_failed)?;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         PLAN_ARENA.with(|arena| plan.execute(input, &mut arena.borrow_mut()))
     }))
-    .map_err(|_| ServeError::ModelPanicked {
-        model: entry.name.clone(),
-    })?
-    .map_err(|error| ServeError::PlanFailed {
-        model: entry.name.clone(),
-        error,
-    })
+    .map_err(|_| panicked())?
+    .map_err(plan_failed)
 }
 
 /// Returns the model's compiled plan for `(cfg, len, eff)`, compiling and
 /// caching it on a miss. A slot whose weight-generation token moved (an
-/// optimizer step, a hot-swap) is evicted and recompiled. A compile error
-/// is not cached: the next batch of the key tries again.
+/// optimizer step, a hot-swap) is evicted and recompiled; a batch still
+/// executing the evicted plan keeps it alive through its own `Arc`. A
+/// compile error is not cached: the next batch of the key tries again.
 ///
 /// Called with the model mutex held, so the weight-generation token, the
 /// cache lookup, and any recompile are atomic with respect to other
-/// batches of the same model.
+/// batches of the same model. The returned plan executes after the lock
+/// is released.
 fn cached_plan(
     entry: &ModelEntry,
     model: &mut dyn BatchModel,
@@ -1053,6 +1076,7 @@ mod tests {
         );
         assert!(stats.p50_latency_us <= stats.p99_latency_us);
         assert!(stats.p99_latency_us <= stats.p999_latency_us);
+        assert_eq!(stats.plan_failures, 0);
         handle.shutdown();
     }
 
@@ -1064,13 +1088,17 @@ mod tests {
         assert_eq!(p.wait().unwrap().len(), 16);
     }
 
-    /// Pixel model that plans like a 4 → `width` dense layer, promises
-    /// `promised` outputs per request, and runs `act` once per batch: the
-    /// server reads `plan_token` once per batch under the model lock, so
+    /// Pixel model that plans like a 4 → `width` dense layer (for
+    /// `skew` more rows than each batch brings), promises `promised`
+    /// outputs per request, and runs `act` once per batch. The server
+    /// holds the model lock for the quant switch, the `plan_token` check
+    /// and the plan lookup or compile, then executes the plan unlocked and
+    /// concurrently; `plan_token` runs once per batch under the lock, so
     /// that is where a misbehaving tenant's fault fires.
     struct Fake {
         inner: DenseGemm,
         promised: usize,
+        skew: usize,
         act: Box<dyn FnMut() + Send>,
     }
 
@@ -1080,6 +1108,7 @@ mod tests {
             Fake {
                 inner: DenseGemm::new(&mut rng, 4, width, QuantConfig::fp32()),
                 promised,
+                skew: 0,
                 act: Box::new(act),
             }
         }
@@ -1112,7 +1141,7 @@ mod tests {
             batch: usize,
             len: usize,
         ) -> Result<CompiledPlan, PlanError> {
-            self.inner.compile_plan(cfg, batch, len)
+            self.inner.compile_plan(cfg, batch + self.skew, len)
         }
 
         fn plan_token(&mut self) -> u64 {
@@ -1134,6 +1163,15 @@ mod tests {
     /// output never matches the `batch · output_len(len)` contract.
     fn short_changer() -> Fake {
         Fake::new(3, 8, || {})
+    }
+
+    /// Compiles every plan for one row more than its batch brings, so each
+    /// plan compiles but rejects its input at execute time.
+    fn misplanner() -> Fake {
+        Fake {
+            skew: 1,
+            ..Fake::new(2, 2, || {})
+        }
     }
 
     #[test]
@@ -1227,7 +1265,34 @@ mod tests {
                 ));
             }
         }
-        assert_eq!(handle.stats().completed, 6);
+        let stats = handle.stats();
+        assert_eq!(stats.completed, 6);
+        assert!(stats.plan_failures >= 2, "{stats:?}");
+        assert_eq!(stats.plan_failures, stats.batches);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn execute_time_plan_errors_are_typed_counted_and_do_not_poison() {
+        let mut server = Server::new(ServerConfig::default());
+        server.register("skewed", Box::new(misplanner()));
+        let handle = server.start().unwrap();
+        let req = || Request::new("skewed", RequestInput::Pixels(vec![0.5; 4])).quant(mx6());
+        for _ in 0..3 {
+            // Execute runs outside the model lock: its failure is answered
+            // as `PlanFailed` every time, never escalated to a poisoned
+            // model.
+            assert!(matches!(
+                handle.infer(req()),
+                Err(ServeError::PlanFailed {
+                    error: PlanError::Input(_),
+                    ..
+                })
+            ));
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.plan_failures, 3);
+        assert_eq!(stats.plan_cache_hits, 2, "the compiled plan stays cached");
         handle.shutdown();
     }
 

@@ -48,6 +48,8 @@ pub(crate) struct StatsInner {
     packs_baseline: (u64, u64),
     /// Batches served straight from a model's compiled-plan cache.
     plan_hits: AtomicU64,
+    /// Batches answered `PlanFailed` (at compile or at execute).
+    plan_failures: AtomicU64,
     /// `(plans compiled, prepack hoists, arena bytes)` baseline at server
     /// start — the process-wide `mx_nn::plan` counters, snapshotted so the
     /// reported numbers are deltas attributable to this server.
@@ -77,6 +79,7 @@ impl StatsInner {
             }),
             packs_baseline: mx_nn::qflow::plane_cache_counters(),
             plan_hits: AtomicU64::new(0),
+            plan_failures: AtomicU64::new(0),
             plans_baseline: mx_nn::plan::plan_counters(),
         }
     }
@@ -85,6 +88,12 @@ impl StatsInner {
     /// gating, or allocation beyond the worker's arena).
     pub(crate) fn record_plan_hit(&self) {
         self.plan_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one batch answered with `ServeError::PlanFailed`, whether its
+    /// plan failed to compile or to execute.
+    pub(crate) fn record_plan_failure(&self) {
+        self.plan_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks `n` requests admitted onto `shard` (submit side).
@@ -222,6 +231,7 @@ impl StatsInner {
             packs_performed: packs.saturating_sub(self.packs_baseline.1),
             plans_compiled: plans.saturating_sub(self.plans_baseline.0),
             plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
+            plan_failures: self.plan_failures.load(Ordering::Relaxed),
             prepack_hoists: hoists.saturating_sub(self.plans_baseline.1),
             plan_arena_bytes: arena.saturating_sub(self.plans_baseline.2),
         }
@@ -286,6 +296,10 @@ pub struct ServeStats {
     /// steady-state path that does zero planning, gating, or allocation
     /// beyond the per-worker arena.
     pub plan_cache_hits: u64,
+    /// Batches answered [`crate::ServeError::PlanFailed`] since the server
+    /// started — every request of such a batch got the error — whether the
+    /// plan failed to compile or to execute.
+    pub plan_failures: u64,
     /// Weight lowerings pinned at plan time since the server started (each
     /// one removed from every subsequent batch).
     pub prepack_hoists: u64,
@@ -344,6 +358,7 @@ mod tests {
         s.record_shed();
         s.record_expired(2);
         s.record_plan_hit();
+        s.record_plan_failure();
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.shard_depths, vec![1, 0]);
@@ -356,10 +371,12 @@ mod tests {
         assert_eq!(snap.p99_latency_us, 30);
         assert_eq!(snap.p999_latency_us, 30);
         assert!((snap.mean_batch_size() - 1.5).abs() < 1e-12);
-        // The hit counter is per-server; the compile/hoist/arena counters
-        // are process-wide deltas, so other tests in the same process may
-        // move them — only the local counter has an exact expectation.
+        // The hit and failure counters are per-server; the compile, hoist
+        // and arena counters are process-wide deltas, so other tests in the
+        // same process may move them — only the local counters have exact
+        // expectations.
         assert_eq!(snap.plan_cache_hits, 1);
+        assert_eq!(snap.plan_failures, 1);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! controller with purpose-built models — a gate that blocks its worker
 //! until released and a sleeper with a known service time — so every
 //! assertion is about *which* typed outcome arrives, not about wall-clock
-//! racing.
+//! racing. A churner whose weight token moves on every batch checks that
+//! a plan still executing on one worker survives its eviction by another.
 
 use mx::models::zoo::{BatchModel, DenseGemm, InputKind, ZooInput};
 use mx::nn::plan::{CompiledPlan, PlanError};
 use mx::nn::qflow::QuantConfig;
+use mx::nn::TensorFormat;
 use mx::serve::{
     AdmissionConfig, Priority, Request, RequestInput, ServeError, Server, ServerConfig,
 };
@@ -20,11 +22,16 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// A pixel model that serves like a 4 → 1 dense layer (plans included)
-/// and runs `act` once per batch. The server reads `plan_token` once per
-/// batch under the model lock, so that is where the act happens.
+/// and runs `act` once per batch. The server holds the model lock for the
+/// quant switch, the `plan_token` check and the plan lookup or compile,
+/// then executes the plan unlocked and concurrently; `plan_token` runs
+/// once per batch under the lock, so that is where the act happens.
 struct Fake {
     inner: DenseGemm,
     act: Box<dyn FnMut() + Send>,
+    /// `Some(t)`: `plan_token` returns a fresh token on every batch, as if
+    /// the weights moved between batches.
+    churn: Option<u64>,
 }
 
 impl Fake {
@@ -32,6 +39,7 @@ impl Fake {
         Fake {
             inner: DenseGemm::new(&mut StdRng::seed_from_u64(5), 4, 1, QuantConfig::fp32()),
             act: Box::new(act),
+            churn: None,
         }
     }
 }
@@ -68,7 +76,13 @@ impl BatchModel for Fake {
 
     fn plan_token(&mut self) -> u64 {
         (self.act)();
-        self.inner.plan_token()
+        match &mut self.churn {
+            Some(token) => {
+                *token += 1;
+                *token
+            }
+            None => self.inner.plan_token(),
+        }
     }
 }
 
@@ -90,6 +104,17 @@ fn gate() -> (mpsc::Sender<()>, Fake) {
 /// admission controller's service-time EWMAs with a predictable value.
 fn sleeper(service: Duration) -> Fake {
     Fake::new(move || std::thread::sleep(service))
+}
+
+/// The churner: a 64 → 48 dense layer whose weight token moves on every
+/// batch, so every batch evicts and recompiles its key's cached plan while
+/// the shard's other worker may still be executing the evicted one.
+fn churner() -> Fake {
+    Fake {
+        inner: DenseGemm::new(&mut StdRng::seed_from_u64(6), 64, 48, QuantConfig::fp32()),
+        act: Box::new(|| {}),
+        churn: Some(0),
+    }
 }
 
 fn px() -> RequestInput {
@@ -316,6 +341,69 @@ fn slo_admission_orders_traffic_by_priority() {
     let stats = handle.stats();
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.completed, 2);
+    handle.shutdown();
+}
+
+#[test]
+fn in_flight_plan_survives_its_own_eviction() {
+    const CLIENTS: usize = 4;
+    const BURSTS: usize = 6;
+    const BURST: usize = 4;
+    let mut server = Server::new(ServerConfig::default().workers(2).max_batch(BURST));
+    server.register("churn", Box::new(churner()));
+    let handle = server.start().expect("valid config");
+    let cfg = QuantConfig::weights_activations(TensorFormat::MX6, TensorFormat::MX6);
+    let req = |i: usize| {
+        let row = (0..64)
+            .map(|j| ((i * 64 + j) as f32 * 0.37).sin())
+            .collect();
+        Request::new("churn", RequestInput::Pixels(row)).quant(cfg)
+    };
+    let total = CLIENTS * BURSTS * BURST;
+    // Serial answers first: one request per batch.
+    let want: Vec<Vec<f32>> = (0..total)
+        .map(|i| handle.infer(req(i)).expect("serial answer"))
+        .collect();
+    let before = handle.stats();
+    // Concurrent clients keep both workers busy, so one worker's batch
+    // evicts the plan slot the other is still executing.
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let (handle, want, req) = (&handle, &want, &req);
+            s.spawn(move || {
+                for burst in 0..BURSTS {
+                    let first = (client * BURSTS + burst) * BURST;
+                    let pending: Vec<_> = (first..first + BURST)
+                        .map(|i| (i, handle.submit(req(i)).expect("admitted")))
+                        .collect();
+                    for (i, p) in pending {
+                        let got = p.wait().expect("answered");
+                        assert!(
+                            got.len() == want[i].len()
+                                && got
+                                    .iter()
+                                    .zip(&want[i])
+                                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "request {i} differs from its serial answer"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    let stats = handle.stats();
+    let batches = stats.batches - before.batches;
+    assert_eq!(stats.completed, 2 * total as u64);
+    // Every batch saw a fresh token: nothing hit, everything recompiled.
+    // (`plans_compiled` is a process-wide delta that other tests may
+    // inflate, never deflate.)
+    assert_eq!(stats.plan_cache_hits, 0);
+    assert!(
+        stats.plans_compiled - before.plans_compiled >= batches,
+        "{batches} batches, {} compiles",
+        stats.plans_compiled - before.plans_compiled
+    );
+    assert_eq!(stats.plan_failures, 0);
     handle.shutdown();
 }
 
